@@ -25,12 +25,6 @@ def factorization(n: int) -> dict[int, int]:
     return dict(factorint(abs(n)))
 
 
-def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e == 1 for e in factorint(abs(n)).values())
-
-
 def square_part(n: int) -> tuple[int, int]:
     """Return (s, m) with n = s^2 * m, m squarefree, s > 0, sign(m) = sign(n)."""
     if n == 0:

@@ -12,12 +12,13 @@ equation and reduced to a primitive nonnegative triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd, isqrt
 from typing import Iterator
 
-from ._intmath import sqrt_modulo, square_part
+from ._intmath import is_prime, prime_factors, sqrt_modulo, square_part
 from .errors import InternalInvariant, LocalObstruction, SearchExhausted
-from .symbols import kronecker
+from .symbols import factor_discriminant, kronecker
 
 __all__ = [
     "ConicEquation",
@@ -68,9 +69,8 @@ def _shell_scan(c1: int, c2: int, c3: int, shells: int,
     for s in range(1, shells + 1):
         for u in range(s + 1):
             for v in range(s + 1):
-                for w in range(s + 1):
-                    if max(u, v, w) != s:
-                        continue
+                # only the surface max(u, v, w) == s of the cube is new
+                for w in range(s + 1) if s in (u, v) else (s,):
                     if skip_zero_last and w == 0:
                         continue
                     if gcd(gcd(u, v), w) != 1:
@@ -108,7 +108,7 @@ def _normalize(c: list[int]) -> tuple[list[int], list[int]]:
             for j in range(i + 1, 3):
                 g = gcd(c[i], c[j])
                 if g > 1:
-                    p = _smallest_prime_factor(g)
+                    p = prime_factors(g)[0]
                     k = 3 - i - j
                     c[i] //= p
                     c[j] //= p
@@ -116,18 +116,6 @@ def _normalize(c: list[int]) -> tuple[list[int], list[int]]:
                     mult[k] *= p
                     changed = True
     return c, mult
-
-
-def _smallest_prime_factor(n: int) -> int:
-    n = abs(n)
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
 
 
 def _check_local(c: list[int]) -> None:
@@ -139,25 +127,10 @@ def _check_local(c: list[int]) -> None:
         j, k = (i + 1) % 3, (i + 2) % 3
         target = -c[j] * c[k]
         # odd primes of c_i only; the place 2 follows by the product formula
-        for q in _odd_prime_divisors(c[i]):
-            if kronecker(target, q) != 1:
+        for q in prime_factors(c[i]):
+            if q != 2 and kronecker(target, q) != 1:
                 raise LocalObstruction(
                     f"-({c[j]})*({c[k]}) is not a square mod {q}", place=q)
-
-
-def _odd_prime_divisors(n: int) -> Iterator[int]:
-    n = abs(n)
-    while n % 2 == 0:
-        n //= 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            yield f
-            while n % f == 0:
-                n //= f
-        f += 2
-    if n > 1:
-        yield n
 
 
 def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -307,22 +280,13 @@ def solve_system(d1: int, d2: int, d3: int, a: int, *,
 def parameter_candidates() -> Iterator[int]:
     """1, then the odd primes in ascending order."""
     yield 1
-    n = 3
-    while True:
-        for f in range(3, isqrt(n) + 1, 2):
-            if n % f == 0:
-                break
-        else:
-            yield n
-        n += 2
+    yield from filter(is_prime, count(3, 2))
 
 
 def parameter_conditions(a: int, d1: int, d2: int) -> bool:
     """Whether the odd positive parameter a fits the pair (d1, d2):
     both parts are squares at a, every prime discriminant of d1 is a
     square at a, and each prime discriminant q of d2 lands on sign(q)."""
-    from .symbols import factor_discriminant
-
     if a <= 0 or a % 2 == 0:
         return False
     if kronecker(d1, a) != 1 or kronecker(d2, a) != 1:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import gcd
 
+from ._intmath import prime_factors
 from .conic import (ConicSolution, find_parameter_a, parameter_conditions,
                     solve_system)
 from .errors import (FactorizationRejected, InternalInvariant,
@@ -184,18 +186,25 @@ def build_mu(d1: int, d2: int, d3: int, a: int, *, shells: int = 16) -> MuGenera
                        mu_raw=mu_raw, scaling=scaling, mu=mu)
 
 
-def two_primary_oracle(x: BiquadElement) -> bool:
-    """Whether x is congruent to a square modulo 4 in the maximal order."""
-    if not x.is_integral():
-        raise NonIntegral(f"{x} is not integral")
-    m, n = x.m, x.n
+@lru_cache(maxsize=64)
+def _squares_mod4(m: int, n: int) -> frozenset[tuple[int, ...]]:
+    """Integral coordinates mod 4 of every square in the maximal order of
+    Q(sqrt(m), sqrt(n)).  Since (xi + 2*eta)^2 = xi^2 (mod 4), the squares
+    of the 16 elements with integral coordinates in {0, 1} give them all."""
+    out = set()
     for mask in range(16):
         xi = from_integral_coords(m, n, ((mask >> 0) & 1, (mask >> 1) & 1,
                                          (mask >> 2) & 1, (mask >> 3) & 1))
-        v = (x - xi * xi).integral_coordinates()
-        if all(c.denominator == 1 and int(c) % 4 == 0 for c in v):
-            return True
-    return False
+        out.add(tuple(int(c) % 4 for c in (xi * xi).integral_coordinates()))
+    return frozenset(out)
+
+
+def two_primary_oracle(x: BiquadElement) -> bool:
+    """Whether x is congruent to a square modulo 4 in the maximal order."""
+    v = x.integral_coordinates()
+    if any(c.denominator != 1 for c in v):
+        raise NonIntegral(f"{x} is not integral")
+    return tuple(int(c) % 4 for c in v) in _squares_mod4(x.m, x.n)
 
 
 def two_primary_normalize(mu: BiquadElement, d1: int, d2: int) -> tuple[BiquadElement, str]:
@@ -319,8 +328,6 @@ def resolve_infinity(mu: BiquadElement, d1: int, d2: int,
         return (mu, None, None)
     signs = embedding_signs(mu)
     if all(s < 0 for s in signs):
-        from ._intmath import prime_factors
-
         for q in prime_factors(d):
             if q % 4 == 3:
                 twisted = mu * (-q)

@@ -18,7 +18,7 @@ from .conic import ConicSolution, solve_conic
 from .construct import GaloisClass, classify, compute_alpha, two_primary_oracle
 from .errors import FactorizationRejected, InternalInvariant, NonIntegral
 from .factorizations import check_d4_split, enumerate_d4
-from .field import GaloisAction, element
+from .field import GaloisAction, _rat_sqrt, element
 
 __all__ = [
     "D4Certificate",
@@ -74,6 +74,16 @@ def quad_two_primary_oracle(c0: Fraction, c1: Fraction, d: int) -> bool:
     return False
 
 
+def _lift_signs(d1: int, d2: int, alpha: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
+    """Lift signs of sigma, tau and sigma*tau for the quadratic step
+    generated by the square root of alpha, embedded in Q(sqrt(d1), sqrt(d2))."""
+    alpha_emb = element(d1, d2, alpha[0], alpha[1], 0, 0)
+    return tuple(compute_alpha(alpha_emb, label, action, 1, None).sign  # type: ignore[return-value]
+                 for label, action in (("sigma", GaloisAction.SIGMA),
+                                       ("tau", GaloisAction.TAU),
+                                       ("sigma_tau", GaloisAction.SIGMA_TAU)))
+
+
 def d4_construct(d: int, *, forced_pair: tuple[int, int] | None = None,
                  shells: int = 16) -> D4Certificate:
     """Construct and certify a dihedral generator for the discriminant d."""
@@ -115,18 +125,12 @@ def d4_construct(d: int, *, forced_pair: tuple[int, int] | None = None,
 
     norm = final[0] * final[0] - d1 * final[1] * final[1]
     ratio = norm / d2
-    root = _frac_sqrt(ratio)
+    root = _rat_sqrt(ratio)
     if root is None:
         raise InternalInvariant("generator norm is not d2 times a rational square")
 
-    alpha_emb = element(d1, d2, final[0], final[1], 0, 0)
-    signs = tuple(
-        compute_alpha(alpha_emb, label, action, 1, None).sign
-        for label, action in (("sigma", GaloisAction.SIGMA),
-                              ("tau", GaloisAction.TAU),
-                              ("sigma_tau", GaloisAction.SIGMA_TAU))
-    )
-    galois_class = classify(signs)  # type: ignore[arg-type]
+    signs = _lift_signs(d1, d2, final)
+    galois_class = classify(signs)
     if galois_class is not GaloisClass.DIHEDRAL or signs[2] != -1:
         raise InternalInvariant(f"dihedral certification failed: signs {signs}")
 
@@ -134,7 +138,7 @@ def d4_construct(d: int, *, forced_pair: tuple[int, int] | None = None,
         d=d, d1=d1, d2=d2, d3=d3, solution=sol,
         alpha_raw=(sol.x, sol.y), scaling=scaling, twist=twist,
         alpha=final, norm_root=root, two_primary=True,
-        svector=signs,  # type: ignore[arg-type]
+        svector=signs,
         cyclic_sign=signs[2], galois_class=galois_class,
         degenerate=(d3 == 1),
     )
@@ -177,24 +181,7 @@ def d4_verify(cert: D4Certificate) -> bool:
     if cert.alpha != expected:
         return False
 
-    alpha_emb = element(cert.d1, cert.d2, a0, a1, 0, 0)
-    signs = tuple(
-        compute_alpha(alpha_emb, label, action, 1, None).sign
-        for label, action in (("sigma", GaloisAction.SIGMA),
-                              ("tau", GaloisAction.TAU),
-                              ("sigma_tau", GaloisAction.SIGMA_TAU))
-    )
+    signs = _lift_signs(cert.d1, cert.d2, cert.alpha)
     if signs != cert.svector or cert.cyclic_sign != signs[2] or signs[2] != -1:
         return False
     return classify(signs) is GaloisClass.DIHEDRAL and cert.galois_class is GaloisClass.DIHEDRAL
-
-
-def _frac_sqrt(f: Fraction) -> Fraction | None:
-    from math import isqrt
-
-    if f < 0:
-        return None
-    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None

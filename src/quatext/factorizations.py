@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd, prod
 
-from ._intmath import prime_factors
 from .errors import FactorizationRejected, InvalidDiscriminant
-from .symbols import disc_sort_key, factor_discriminant, is_fundamental, kronecker
+from .symbols import (_fundamental_primes, disc_sort_key, factor_discriminant,
+                      is_fundamental, kronecker)
 
 __all__ = [
     "H8Factorization",
@@ -57,28 +57,34 @@ def at_most_one_negative(parts: tuple[int, ...]) -> bool:
     return sum(1 for v in parts if v < 0) <= 1
 
 
-def _check_structure(d: int, parts: tuple[int, ...]) -> None:
+def _check_structure(d: int, parts: tuple[int, ...]) -> list[list[int]]:
+    """Raise unless the parts are coprime fundamental discriminants with
+    product d; return the primes of each part."""
+    primes = []
     for v in parts:
         if v == 1:
             raise InvalidDiscriminant("every part must be a nontrivial discriminant")
-        if not is_fundamental(v):
+        ps = _fundamental_primes(v)
+        if ps is None:
             raise InvalidDiscriminant(f"part {v} is not a fundamental discriminant")
+        primes.append(ps)
     if prod(parts) != d:
         raise InvalidDiscriminant(f"parts {parts} do not multiply to {d}")
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if gcd(parts[i], parts[j]) != 1:
                 raise InvalidDiscriminant(f"parts {parts[i]} and {parts[j]} share a factor")
+    return primes
 
 
 def check_h8_split(d: int, parts: tuple[int, int, int]) -> None:
     """Raise unless d = d1*d2*d3 satisfies all quaternion symbol conditions."""
     if len(parts) != 3:
         raise InvalidDiscriminant("a quaternion splitting has exactly three parts")
-    _check_structure(d, parts)
+    primes = _check_structure(d, parts)
     for i in range(3):
         others = prod(parts[j] for j in range(3) if j != i)
-        for p in prime_factors(parts[i]):
+        for p in primes[i]:
             if kronecker(others, p) != 1:
                 raise FactorizationRejected(
                     f"({others}/{p}) != 1 for prime {p} of part {parts[i]}",
@@ -130,9 +136,12 @@ def enumerate_h8(d: int) -> list[H8Factorization]:
 
 def check_d4_split(d: int, d1: int, d2: int) -> None:
     """Raise unless (d1, d2) is a dihedral-admissible pair for d."""
+    primes = []
     for v in (d1, d2):
-        if v == 1 or not is_fundamental(v):
+        ps = _fundamental_primes(v)
+        if ps is None:
             raise InvalidDiscriminant(f"part {v} is not a nontrivial fundamental discriminant")
+        primes.append(ps)
     if gcd(d1, d2) != 1:
         raise InvalidDiscriminant(f"parts {d1} and {d2} share a factor")
     if d % (d1 * d2) != 0:
@@ -144,11 +153,11 @@ def check_d4_split(d: int, d1: int, d2: int) -> None:
         raise InvalidDiscriminant("complement shares a factor with a part")
     if d1 < 0 and d2 < 0:
         raise FactorizationRejected(f"both {d1} and {d2} negative")
-    for p in prime_factors(d1):
+    for p in primes[0]:
         if kronecker(d2, p) != 1:
             raise FactorizationRejected(f"({d2}/{p}) != 1 for prime {p} of {d1}",
                                         prime=p, numerator=d2, value=kronecker(d2, p))
-    for p in prime_factors(d2):
+    for p in primes[1]:
         if kronecker(d1, p) != 1:
             raise FactorizationRejected(f"({d1}/{p}) != 1 for prime {p} of {d2}",
                                         prime=p, numerator=d1, value=kronecker(d1, p))

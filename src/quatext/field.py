@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import BaseMismatch, InternalInvariant
@@ -66,6 +67,17 @@ def _rat_sqrt(f: Fraction) -> Fraction | None:
     return None
 
 
+@lru_cache(maxsize=64)
+def _check_base(m: int, n: int) -> None:
+    """Raise unless m, n are coprime fundamental discriminants.  Memoized,
+    so a base in recent use is not checked again for each new element;
+    a failing base raises afresh every time."""
+    if not (is_fundamental(m) and is_fundamental(n)):
+        raise BaseMismatch(f"base ({m}, {n}) must be fundamental discriminants")
+    if gcd(m, n) != 1:
+        raise BaseMismatch(f"base discriminants {m}, {n} must be coprime")
+
+
 @dataclass(frozen=True)
 class BiquadElement:
     m: int
@@ -73,10 +85,7 @@ class BiquadElement:
     coords: tuple[Fraction, Fraction, Fraction, Fraction]
 
     def __post_init__(self) -> None:
-        if not (is_fundamental(self.m) and is_fundamental(self.n)):
-            raise BaseMismatch(f"base ({self.m}, {self.n}) must be fundamental discriminants")
-        if gcd(self.m, self.n) != 1:
-            raise BaseMismatch(f"base discriminants {self.m}, {self.n} must be coprime")
+        _check_base(self.m, self.n)
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
 
     # -- basic structure ---------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from ._intmath import is_prime, is_squarefree
+from ._intmath import factorization, is_prime
 from .errors import InternalInvariant, NotFundamental, SymbolDomain
 
 __all__ = [
@@ -101,24 +101,31 @@ def quartic_symbol_composite(a: int, modulus: int) -> int:
             m //= 2
     elif m % 4 != 1:
         raise SymbolDomain(f"odd quartic modulus must be 1 (mod 4), got {modulus}")
-    if not is_squarefree(m):
+    odd = factorization(m)
+    if any(e > 1 for e in odd.values()):
         raise SymbolDomain(f"odd part of quartic modulus {modulus} must be squarefree")
-    from ._intmath import prime_factors
-
-    factors.extend(prime_factors(m))
+    factors.extend(sorted(odd))
     return prod(quartic_symbol(a, p) for p in factors)
+
+
+def _fundamental_primes(d: int) -> list[int] | None:
+    """The ascending primes of d if d is a fundamental discriminant, else None.
+
+    The residue of d mod 16 fixes the power of 2 (d = 1 mod 4, or 4m with
+    m = 3 mod 4, or 8m with m odd), so one factorization of |d| is left to
+    show that the odd part is squarefree.
+    """
+    if d == 1 or not (d % 4 == 1 or d % 16 in (8, 12)):
+        return None
+    f = factorization(d)
+    if any(e > 1 for p, e in f.items() if p != 2):
+        return None
+    return sorted(f)
 
 
 def is_fundamental(d: int) -> bool:
     """True iff d is a fundamental discriminant (of a quadratic field)."""
-    if d in (0, 1):
-        return False
-    if d % 4 == 1:
-        return is_squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+    return _fundamental_primes(d) is not None
 
 
 def prime_discriminant(p: int) -> int:
@@ -151,11 +158,10 @@ def factor_discriminant(d: int) -> DiscriminantFactorization:
     is d, and they come back in canonical order (negatives first, then by
     absolute value).
     """
-    if not is_fundamental(d):
+    primes = _fundamental_primes(d)
+    if primes is None:
         raise NotFundamental(f"{d} is not a fundamental discriminant")
-    from ._intmath import prime_factors
-
-    odd_parts = [prime_discriminant(p) for p in prime_factors(d) if p != 2]
+    odd_parts = [prime_discriminant(p) for p in primes if p != 2]
     two_part = d // prod(odd_parts) if odd_parts else d
     parts = list(odd_parts)
     if two_part != 1:

@@ -1,0 +1,52 @@
+"""Bounds on repeated work: a construction factors each discriminant a
+bounded number of times, and a field base is checked once, not on every
+arithmetic result.  The bounds are upper bounds, so they hold whatever
+the package's caches already hold."""
+
+import pytest
+
+import quatext._intmath
+import quatext.field
+from quatext import BaseMismatch, construct_h8, d4_construct, element
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call is recorded; return the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_construct_h8_factoring_budget(monkeypatch):
+    calls = count_calls(monkeypatch, quatext._intmath, "factorint")
+    construct_h8(520)
+    assert 0 < len(calls) <= 30
+
+
+def test_d4_construct_factoring_budget(monkeypatch):
+    calls = count_calls(monkeypatch, quatext._intmath, "factorint")
+    d4_construct(680)
+    assert 0 < len(calls) <= 30
+
+
+def test_base_checked_once_per_field(monkeypatch):
+    calls = count_calls(monkeypatch, quatext.field, "is_fundamental")
+    x = element(5, 8, 1, 2, 3, 4)
+    y = element(5, 8, 0, 1, 0, 0)
+    for _ in range(200):
+        x * y
+    assert len(calls) <= 2
+
+
+def test_bad_base_raises_every_time():
+    for _ in range(3):
+        with pytest.raises(BaseMismatch):
+            element(5, 40, 1)
+        with pytest.raises(BaseMismatch):
+            element(5, 9, 1)

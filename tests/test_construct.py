@@ -110,7 +110,7 @@ class TestTwoPrimary:
         # mod 4 iff some of the 256 integral residues mod 4 works
         import random
         rng = random.Random(7)
-        for m, n in [(5, 8), (-3, 5), (-4, 5)]:
+        for m, n in [(5, 8), (-3, 5), (-4, 5), (8, 13), (-8, 5), (5, 13), (5, 17), (-3, -7)]:
             for _ in range(12):
                 v = tuple(rng.randint(-6, 6) for _ in range(4))
                 x = from_integral_coords(m, n, v)

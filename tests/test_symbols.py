@@ -144,6 +144,17 @@ class TestFundamental:
         assert is_fundamental(8)
         assert is_fundamental(-8)
 
+    @settings(max_examples=300)
+    @given(st.integers(-10**12, 10**12)
+           | st.builds(lambda k, m: k * m, st.sampled_from([4, 8, 16]),
+                       st.integers(-10**12 // 16, 10**12 // 16)))
+    def test_large_and_even_inputs_match_reference(self, d):
+        # the power of 2 is decided from the residue of d, the odd part from
+        # one factorization; both must agree with the plain definition
+        assert is_fundamental(d) == fundamental_ref(d), d
+        if fundamental_ref(d):
+            assert factor_discriminant(d).parts == tuple(disc_parts_ref(d)), d
+
 
 class TestPrimeDiscriminant:
     def test_sign_follows_residue_mod_four(self):
