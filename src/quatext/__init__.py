@@ -10,9 +10,8 @@ square-root extractions.  Everything is exact rational arithmetic; there
 are no floating-point tolerances anywhere.
 """
 
-from .conic import (ConicEquation, ConicSolution, find_parameter_a,
-                    parameter_candidates, parameter_conditions, solve_conic,
-                    solve_system)
+from .conic import (ConicSolution, find_parameter_a, parameter_candidates,
+                    parameter_conditions, solve_conic, solve_system)
 from .construct import (AlphaRoot, ExtensionCertificate, GaloisClass,
                         MuGenerator, SVector, assign_roles, build_mu,
                         certify_generator, check_norm_relations, classify,
@@ -20,12 +19,11 @@ from .construct import (AlphaRoot, ExtensionCertificate, GaloisClass,
                         k_square_class_equal, normalize_roles,
                         resolve_infinity, same_extension, two_primary_normalize,
                         two_primary_oracle)
-from .dihedral import (D4Certificate, d4_construct, d4_verify,
-                       quad_integral_coords, quad_two_primary_oracle)
+from .dihedral import D4Certificate, d4_construct, d4_verify
 from .errors import (BaseMismatch, FactorizationRejected, InternalInvariant,
                      InvalidDiscriminant, InvalidParameter, LocalObstruction,
                      NonIntegral, NonNormal, NotFundamental, QuatextError,
-                     SearchExhausted, SymbolDomain, UnitDiscriminant)
+                     SearchExhausted, SymbolDomain)
 from .factorizations import (D4Factorization, H8Factorization,
                              at_most_one_negative, check_d4_split,
                              check_h8_split, enumerate_d4, enumerate_h8,
@@ -53,7 +51,7 @@ __all__ = [
     "enumerate_h8", "check_d4_split", "is_d4_split", "enumerate_d4",
     "at_most_one_negative",
     # conics
-    "ConicEquation", "ConicSolution", "solve_conic", "solve_system",
+    "ConicSolution", "solve_conic", "solve_system",
     "find_parameter_a", "parameter_conditions", "parameter_candidates",
     # the biquadratic field
     "BiquadElement", "GaloisAction", "element", "rational_element",
@@ -68,13 +66,12 @@ __all__ = [
     "resolve_infinity", "divisor_twists", "k_square_class_equal",
     "same_extension", "construct_h8",
     # dihedral branch
-    "D4Certificate", "d4_construct", "d4_verify", "quad_integral_coords",
-    "quad_two_primary_oracle",
+    "D4Certificate", "d4_construct", "d4_verify",
     # ramification at the real places
     "InfinityVerdict", "infinity_verdict",
     # errors
-    "QuatextError", "InvalidDiscriminant", "NotFundamental",
-    "UnitDiscriminant", "SymbolDomain", "InvalidParameter",
+    "QuatextError", "InvalidDiscriminant", "NotFundamental", "SymbolDomain",
+    "InvalidParameter",
     "FactorizationRejected", "LocalObstruction", "SearchExhausted",
     "NonNormal", "BaseMismatch", "NonIntegral", "InternalInvariant",
 ]

@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .construct import (ExtensionCertificate, GaloisClass, assign_roles,
                         construct_h8, divisor_twists, k_square_class_equal,
@@ -24,7 +25,8 @@ from .errors import (BaseMismatch, FactorizationRejected, InternalInvariant,
                      InvalidDiscriminant, InvalidParameter, LocalObstruction,
                      NonIntegral, NonNormal, QuatextError, SearchExhausted,
                      SymbolDomain)
-from .factorizations import check_h8_split, enumerate_d4, enumerate_h8
+from .factorizations import (D4Factorization, H8Factorization, check_h8_split,
+                             enumerate_d4, enumerate_h8)
 from .field import element
 from .serialize import (d4cert_dict, factorization_dict, h8cert_dict,
                         runreport_dict, scan_report_dict, table_report_dict)
@@ -98,6 +100,24 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# -- h8 and d4 output ---------------------------------------------------------
+
+
+def _emit(args: argparse.Namespace, certs: list, to_dict: Callable,
+          show: Callable) -> int:
+    """Print h8 or d4 certificates: one JSON document (a list if several)
+    or the text blocks separated by blank lines."""
+    if args.json:
+        docs = [to_dict(c) for c in certs]
+        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
+    else:
+        for i, cert in enumerate(certs):
+            if i:
+                print()
+            show(cert)
+    return EXIT_OK
+
+
 # -- h8 -----------------------------------------------------------------------
 
 
@@ -150,19 +170,6 @@ def _print_h8(cert: ExtensionCertificate) -> None:
               "unique extension of its kind for d")
 
 
-def _cmd_h8(args: argparse.Namespace) -> int:
-    certs = _h8_certificates(args)
-    if args.json:
-        docs = [h8cert_dict(c) for c in certs]
-        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
-    else:
-        for i, cert in enumerate(certs):
-            if i:
-                print()
-            _print_h8(cert)
-    return EXIT_OK
-
-
 # -- d4 -----------------------------------------------------------------------
 
 
@@ -197,19 +204,6 @@ def _print_d4(cert: D4Certificate) -> None:
     print(f"  lift signs: sigma = {sv[0]:+d}, tau = {sv[1]:+d}, "
           f"sigma_tau = {sv[2]:+d}; cyclic sign = {cert.cyclic_sign:+d}")
     print(f"  Galois class of the closure: {cert.galois_class.value}")
-
-
-def _cmd_d4(args: argparse.Namespace) -> int:
-    certs = _d4_certificates(args)
-    if args.json:
-        docs = [d4cert_dict(c) for c in certs]
-        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
-    else:
-        for i, cert in enumerate(certs):
-            if i:
-                print()
-            _print_d4(cert)
-    return EXIT_OK
 
 
 # -- table2 -------------------------------------------------------------------
@@ -281,25 +275,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _scan_h8_entry(d: int, parts: tuple[int, int, int], max_a: int,
-                   shells: int) -> dict[str, object]:
+def _scan_entry(d: int, f: H8Factorization | D4Factorization,
+                args: argparse.Namespace) -> dict[str, object]:
+    """Certify one splitting found by the scan; a failure is recorded in the
+    entry, not raised."""
+    parts = f.parts if args.h8 else (f.d1, f.d2, f.d3)
     entry: dict[str, object] = {"parts": [str(p) for p in parts]}
     try:
-        cert = construct_h8(d, forced_roles=assign_roles(parts), max_a=max_a,
-                            shells=shells)
-        entry.update({"ok": True, "certificate": h8cert_dict(cert), "error": None})
-    except QuatextError as exc:
-        entry.update({"ok": False, "certificate": None,
-                      "error": f"{type(exc).__name__}: {exc}"})
-    return entry
-
-
-def _scan_d4_entry(d: int, pair: tuple[int, int, int],
-                   shells: int) -> dict[str, object]:
-    entry: dict[str, object] = {"parts": [str(p) for p in pair]}
-    try:
-        cert = d4_construct(d, forced_pair=(pair[0], pair[1]), shells=shells)
-        entry.update({"ok": True, "certificate": d4cert_dict(cert), "error": None})
+        if args.h8:
+            cert = h8cert_dict(construct_h8(d, forced_roles=assign_roles(parts),
+                                            max_a=args.max_a, shells=args.conic_box))
+        else:
+            cert = d4cert_dict(d4_construct(d, forced_pair=parts[:2],
+                                            shells=args.conic_box))
+        entry.update({"ok": True, "certificate": cert, "error": None})
     except QuatextError as exc:
         entry.update({"ok": False, "certificate": None,
                       "error": f"{type(exc).__name__}: {exc}"})
@@ -309,17 +298,12 @@ def _scan_d4_entry(d: int, pair: tuple[int, int, int],
 def _cmd_scan(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
     mode = "h8" if args.h8 else "d4"
+    enumerate_splits = enumerate_h8 if args.h8 else enumerate_d4
     reports = []
     for d in range(lo, hi + 1):
         if d in (0, 1) or not is_fundamental(d):
             continue
-        if mode == "h8":
-            groups = [f.parts for f in enumerate_h8(d)]
-            entries = [_scan_h8_entry(d, g, args.max_a, args.conic_box)
-                       for g in groups]
-        else:
-            groups = [(f.d1, f.d2, f.d3) for f in enumerate_d4(d)]
-            entries = [_scan_d4_entry(d, g, args.conic_box) for g in groups]
+        entries = [_scan_entry(d, f, args) for f in enumerate_splits(d)]
         if entries:
             reports.append(runreport_dict(d, mode, entries))
     if args.json:
@@ -388,14 +372,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d3", type=int, help="forced third role")
     p.add_argument("--a", type=int, help="forced auxiliary parameter")
     _add_common(p)
-    p.set_defaults(func=_cmd_h8)
+    p.set_defaults(func=lambda args: _emit(args, _h8_certificates(args),
+                                           h8cert_dict, _print_h8))
 
     p = subs.add_parser("d4", help="construct dihedral-type certificates")
     p.add_argument("d", type=int)
     p.add_argument("--d1", type=int, help="forced pair member (field part)")
     p.add_argument("--d2", type=int, help="forced pair member (norm part)")
     _add_common(p, max_a=False)
-    p.set_defaults(func=_cmd_d4)
+    p.set_defaults(func=lambda args: _emit(args, _d4_certificates(args),
+                                           d4cert_dict, _print_d4))
 
     p = subs.add_parser("table2", help="check the bundled golden "
                                        "constructions row by row")

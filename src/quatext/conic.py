@@ -21,7 +21,6 @@ from .errors import InternalInvariant, LocalObstruction, SearchExhausted
 from .symbols import factor_discriminant, kronecker
 
 __all__ = [
-    "ConicEquation",
     "ConicSolution",
     "solve_conic",
     "solve_system",
@@ -32,19 +31,6 @@ __all__ = [
 
 _PRESEARCH_SHELLS = 16
 _DESCENT_DEPTH_LIMIT = 200
-
-
-@dataclass(frozen=True)
-class ConicEquation:
-    c1: int
-    c2: int
-    c3: int
-
-    def coefficients(self) -> tuple[int, int, int]:
-        return (self.c1, self.c2, self.c3)
-
-    def evaluate(self, x: int, y: int, z: int) -> int:
-        return self.c1 * x * x + self.c2 * y * y + self.c3 * z * z
 
 
 @dataclass(frozen=True)

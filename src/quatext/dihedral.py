@@ -16,14 +16,12 @@ from math import gcd
 
 from .conic import ConicSolution, solve_conic
 from .construct import GaloisClass, classify, compute_alpha, two_primary_oracle
-from .errors import FactorizationRejected, InternalInvariant, NonIntegral
+from .errors import FactorizationRejected, InternalInvariant
 from .factorizations import check_d4_split, enumerate_d4
 from .field import GaloisAction, _rat_sqrt, element
 
 __all__ = [
     "D4Certificate",
-    "quad_integral_coords",
-    "quad_two_primary_oracle",
     "d4_construct",
     "d4_verify",
 ]
@@ -48,30 +46,7 @@ class D4Certificate:
     degenerate: bool
 
 
-def quad_integral_coords(c0: Fraction, c1: Fraction, d: int) -> tuple[Fraction, Fraction]:
-    """Coordinates of c0 + c1*sqrt(d) over 1, (d + sqrt(d))/2."""
-    v1 = 2 * c1
-    v0 = c0 - d * c1
-    return (v0, v1)
-
-
-def quad_two_primary_oracle(c0: Fraction, c1: Fraction, d: int) -> bool:
-    """Whether c0 + c1*sqrt(d) is a square mod 4 in the quadratic order."""
-    v = quad_integral_coords(c0, c1, d)
-    if any(x.denominator != 1 for x in v):
-        raise NonIntegral(f"{c0} + {c1}*sqrt({d}) is not integral")
-    w_sq = (Fraction(d * d + d, 4), Fraction(d, 2))          # ((d+sqrt d)/2)^2
-    candidates = (
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(0)),
-        w_sq,
-        (1 + w_sq[0] + d, w_sq[1] + 1),                       # (1 + w)^2
-    )
-    for s0, s1 in candidates:
-        u = quad_integral_coords(c0 - s0, c1 - s1, d)
-        if all(x.denominator == 1 and int(x) % 4 == 0 for x in u):
-            return True
-    return False
+_TWISTS = {"none": 1, "negate": -1, "double": 2, "negate-double": -2}
 
 
 def _lift_signs(d1: int, d2: int, alpha: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
@@ -103,10 +78,9 @@ def d4_construct(d: int, *, forced_pair: tuple[int, int] | None = None,
     if sol.x * sol.x - d1 * sol.y * sol.y != d2 * sol.z * sol.z:
         raise InternalInvariant("conic point fails the defining equation")
 
-    c0, c1 = Fraction(sol.x), Fraction(sol.y)
-    v = quad_integral_coords(c0, c1, d1)
-    scaling = gcd(int(v[0]), int(v[1]))
-    c0, c1 = c0 / scaling, c1 / scaling
+    v = element(d1, d2, sol.x, sol.y, 0, 0).integral_coordinates()
+    scaling = gcd(*(int(c) for c in v))
+    c0, c1 = Fraction(sol.x, scaling), Fraction(sol.y, scaling)
 
     # The square-mod-4 test runs in the compositum's maximal order, where the
     # certified quadratic extension actually lives.  For even d2 the generator
@@ -115,10 +89,9 @@ def d4_construct(d: int, *, forced_pair: tuple[int, int] | None = None,
     # double.
     final: tuple[Fraction, Fraction] | None = None
     twist = ""
-    for label, f0, f1 in (("none", c0, c1), ("negate", -c0, -c1),
-                          ("double", 2 * c0, 2 * c1), ("negate-double", -2 * c0, -2 * c1)):
-        if two_primary_oracle(element(d1, d2, f0, f1, 0, 0)):
-            final, twist = (f0, f1), label
+    for label, factor in _TWISTS.items():
+        if two_primary_oracle(element(d1, d2, factor * c0, factor * c1, 0, 0)):
+            final, twist = (factor * c0, factor * c1), label
             break
     if final is None:
         raise InternalInvariant("no twist of the dihedral generator is a square mod 4")
@@ -142,9 +115,6 @@ def d4_construct(d: int, *, forced_pair: tuple[int, int] | None = None,
         cyclic_sign=signs[2], galois_class=galois_class,
         degenerate=(d3 == 1),
     )
-
-
-_TWIST_FACTORS = {"none": 1, "negate": -1, "double": 2, "negate-double": -2}
 
 
 def d4_verify(cert: D4Certificate) -> bool:
@@ -173,7 +143,7 @@ def d4_verify(cert: D4Certificate) -> bool:
     if not two_primary_oracle(element(cert.d1, cert.d2, a0, a1, 0, 0)):
         return False
 
-    factor = _TWIST_FACTORS.get(cert.twist)
+    factor = _TWISTS.get(cert.twist)
     if factor is None or cert.scaling <= 0:
         return False
     expected = (Fraction(factor * sol.x, cert.scaling),

@@ -17,10 +17,6 @@ class NotFundamental(InvalidDiscriminant):
     """Integer is not a fundamental discriminant."""
 
 
-class UnitDiscriminant(InvalidDiscriminant):
-    """Operation needs a nontrivial discriminant but got 1."""
-
-
 class SymbolDomain(QuatextError, ValueError):
     """Residue symbol evaluated outside its domain of definition."""
 

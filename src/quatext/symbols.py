@@ -108,19 +108,33 @@ def quartic_symbol_composite(a: int, modulus: int) -> int:
     return prod(quartic_symbol(a, p) for p in factors)
 
 
+def _has_disc_shape(v: int) -> bool:
+    """Whether v mod 16 fits a fundamental discriminant: v = 1 mod 4, or 4m
+    with m = 3 mod 4, or 8m with m odd.  The odd part may still carry a square."""
+    return v % 4 == 1 or v % 16 in (8, 12)
+
+
 def _fundamental_primes(d: int) -> list[int] | None:
     """The ascending primes of d if d is a fundamental discriminant, else None.
 
-    The residue of d mod 16 fixes the power of 2 (d = 1 mod 4, or 4m with
-    m = 3 mod 4, or 8m with m odd), so one factorization of |d| is left to
-    show that the odd part is squarefree.
+    The residue of d mod 16 fixes the power of 2, so only the odd part m is
+    left to show squarefree: a primality test settles it when m is 1 or
+    prime, one factorization of m otherwise.
     """
-    if d == 1 or not (d % 4 == 1 or d % 16 in (8, 12)):
+    if d == 1 or not _has_disc_shape(d):
         return None
-    f = factorization(d)
-    if any(e > 1 for p, e in f.items() if p != 2):
+    m = abs(d)
+    while m % 2 == 0:
+        m //= 2
+    two = [2] if d % 2 == 0 else []
+    if m == 1:
+        return two
+    if is_prime(m):
+        return two + [m]
+    f = factorization(m)
+    if any(e > 1 for e in f.values()):
         return None
-    return sorted(f)
+    return two + sorted(f)
 
 
 def is_fundamental(d: int) -> bool:

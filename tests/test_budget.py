@@ -1,13 +1,15 @@
 """Bounds on repeated work: a construction factors each discriminant a
-bounded number of times, and a field base is checked once, not on every
-arithmetic result.  The bounds are upper bounds, so they hold whatever
-the package's caches already hold."""
+bounded number of times, a splitting check factors only the parts whose
+odd part is composite and never d, and a field base is checked once, not
+on every arithmetic result.  The construction bounds are upper bounds, so
+they hold whatever the package's caches already hold."""
 
 import pytest
 
 import quatext._intmath
 import quatext.field
-from quatext import BaseMismatch, construct_h8, d4_construct, element
+from quatext import (BaseMismatch, check_d4_split, check_h8_split, construct_h8,
+                     d4_construct, element, is_h8_split)
 
 
 def count_calls(monkeypatch, module, name):
@@ -50,3 +52,14 @@ def test_bad_base_raises_every_time():
             element(5, 40, 1)
         with pytest.raises(BaseMismatch):
             element(5, 9, 1)
+
+
+def test_split_checks_factor_only_composite_parts(monkeypatch):
+    """A prime part needs only a primality test, and d is never factored:
+    with three large prime parts that would be a full ECM split of d."""
+    calls = count_calls(monkeypatch, quatext._intmath, "factorint")
+    check_h8_split(520, (5, 8, 13))
+    check_d4_split(680, 8, 17)
+    assert calls == []
+    is_h8_split(-1560, (-3, 8, 65))
+    assert [n for (n,) in calls] == [65]

@@ -2,7 +2,6 @@
 
 import dataclasses
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -10,42 +9,11 @@ from quatext import (
     D4Certificate,
     FactorizationRejected,
     GaloisClass,
-    NonIntegral,
     d4_construct,
     d4_verify,
     enumerate_d4,
-    quad_integral_coords,
-    quad_two_primary_oracle,
 )
 from oracles import fundamental_ref
-
-
-class TestQuadraticOrderTools:
-    def test_integral_coordinates(self):
-        # c0 + c1*sqrt(d) over the basis 1, (d + sqrt(d))/2
-        assert quad_integral_coords(Fraction(7), Fraction(2), 5) == (-3, 4)
-        half = Fraction(1, 2)
-        assert quad_integral_coords(half, half, 5) == (-2, 1)
-
-    def test_oracle_requires_integrality(self):
-        with pytest.raises(NonIntegral):
-            quad_two_primary_oracle(Fraction(1, 2), Fraction(0), 5)
-
-    def test_oracle_matches_exhaustive_residues(self):
-        # independent check against all 16 integral residues mod 4
-        for d in (5, 8, 13, 17):
-            w = (Fraction(d, 2), Fraction(1, 2))
-            for v0, v1 in product(range(-4, 5), repeat=2):
-                c = (Fraction(v0) + w[0] * v1, w[1] * v1)
-                brute = False
-                for u0, u1 in product(range(4), repeat=2):
-                    s = (Fraction(u0) + w[0] * u1, w[1] * u1)
-                    sq = (s[0] * s[0] + d * s[1] * s[1], 2 * s[0] * s[1])
-                    diff = quad_integral_coords(c[0] - sq[0], c[1] - sq[1], d)
-                    if all(t.denominator == 1 and int(t) % 4 == 0 for t in diff):
-                        brute = True
-                        break
-                assert quad_two_primary_oracle(c[0], c[1], d) == brute, (d, v0, v1)
 
 
 class TestD4Construct:

@@ -1,9 +1,10 @@
 """Admissible two- and three-part splittings of a discriminant."""
 
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatext import (
@@ -25,6 +26,98 @@ from quatext import (
 from oracles import d4_pairs_ref, fundamental_ref, h8_splits_ref
 
 FUNDAMENTAL_SMALL = [d for d in range(-600, 601) if fundamental_ref(d)]
+
+ODD_PRIME_DISCS = [-3, 5, -7, -11, 13, 17, -19, 29, -31, 37, 41]
+
+
+@st.composite
+def grouped_parts(draw):
+    """Three parts that group distinct prime discriminants, then maybe one
+    fault: a part is emptied into the next one (giving the part 1), repeats
+    a prime discriminant of the next one, carries a square, flips sign or is
+    any small integer, or d is off."""
+    primes = draw(st.lists(st.sampled_from(ODD_PRIME_DISCS), min_size=3,
+                           max_size=5, unique=True))
+    primes += [v for v in [draw(st.sampled_from([1, -4, 8, -8]))] if v != 1]
+    labels = [0, 1, 2] + draw(st.lists(st.integers(0, 2), min_size=len(primes) - 3,
+                                       max_size=len(primes) - 3))
+    parts = [prod(p for p, lab in zip(primes, labels) if lab == i)
+             for i in range(3)]
+    i = draw(st.integers(0, 2))
+    fault = draw(st.sampled_from(["none", "none", "none", "empty", "repeat",
+                                  "square", "sign", "any", "offset"]))
+    if fault == "empty":
+        parts[(i + 1) % 3] *= parts[i]
+        parts[i] = 1
+    elif fault == "repeat":
+        parts[i] = primes[(i + 1) % 3]
+    elif fault == "square":
+        parts[i] *= draw(st.sampled_from([4, 9, 25]))
+    elif fault == "sign":
+        parts[i] = -parts[i]
+    elif fault == "any":
+        parts[i] = draw(st.integers(-60, 60).filter(bool))
+    offset = draw(st.sampled_from([1, -4, 8])) if fault == "offset" else 0
+    return tuple(parts), prod(parts) + offset
+
+
+def _split_outcome(check, *args):
+    try:
+        check(*args)
+    except FactorizationRejected:
+        return "rejected"
+    except InvalidDiscriminant:
+        return "invalid"
+    return "ok"
+
+
+def _valid_structure(d, parts):
+    """Coprime fundamental parts with product d, decided by the oracles."""
+    return (all(fundamental_ref(v) for v in parts) and prod(parts) == d
+            and all(gcd(a, b) == 1 for a, b in combinations(parts, 2)))
+
+
+def _h8_outcome_ref(d, parts):
+    if not _valid_structure(d, parts):
+        return "invalid"
+    canonical = tuple(sorted(parts, key=disc_sort_key))
+    return "ok" if canonical in h8_splits_ref(d) else "rejected"
+
+
+def _d4_outcome_ref(d, d1, d2):
+    if d1 * d2 == 0 or d % (d1 * d2):
+        return "invalid"
+    d3 = d // (d1 * d2)
+    if not _valid_structure(d, (d1, d2) if d3 == 1 else (d1, d2, d3)):
+        return "invalid"
+    lo, hi = sorted((d1, d2), key=disc_sort_key)
+    return "ok" if (lo, hi, d3) in d4_pairs_ref(d) else "rejected"
+
+
+class TestSplitOutcomeProperty:
+    """check_h8_split and check_d4_split against the brute-force oracles
+    on arbitrary small parts, fundamental or not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_parts())
+    @example(((5, 8, 13), 520))
+    @example(((-3, 5, 17), -255))
+    @example(((5, 8, 45), 1800))
+    @example(((8, 13, 45), 4680))
+    @example(((5, 8, 40), 1600))
+    def test_h8_outcome_matches_oracle(self, case):
+        parts, d = case
+        assert _split_outcome(check_h8_split, d, parts) == _h8_outcome_ref(d, parts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_parts())
+    @example(((8, 17, 5), 680))
+    @example(((8, 17, 1), 136))
+    @example(((8, 45, 1), 360))
+    @example(((5, 40, 8), 1600))
+    def test_d4_outcome_matches_oracle(self, case):
+        (d1, d2, _), d = case
+        assert _split_outcome(check_d4_split, d, d1, d2) == _d4_outcome_ref(d, d1, d2)
 
 
 class TestCheckH8Split:
@@ -51,6 +144,8 @@ class TestCheckH8Split:
             check_h8_split(1600, (5, 8, 40))
         with pytest.raises(InvalidDiscriminant, match="nontrivial"):
             check_h8_split(40, (5, 8, 1))
+        with pytest.raises(InvalidDiscriminant, match="part 45 is not a fundamental"):
+            check_h8_split(4680, (8, 13, 45))
 
     def test_permutation_invariance(self):
         for parts in [(5, 8, 13), (-3, 5, 17), (-4, 5, 21)]:
