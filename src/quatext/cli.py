@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
+from .conic import DEFAULT_MAX_A
 from .construct import (ExtensionCertificate, GaloisClass, assign_roles,
                         construct_h8, divisor_twists, k_square_class_equal,
                         same_extension)
@@ -127,13 +128,12 @@ def _h8_certificates(args: argparse.Namespace) -> list[ExtensionCertificate]:
         if any(v is None for v in forced):
             raise InvalidParameter("--d1, --d2 and --d3 must be given together")
         return [construct_h8(args.d, forced_roles=forced, forced_a=args.a,
-                             max_a=args.max_a, shells=args.conic_box)]
+                             max_a=args.max_a)]
     splits = enumerate_h8(args.d)
     if not splits:
         raise FactorizationRejected(_no_h8_reason(args.d))
     return [construct_h8(args.d, forced_roles=assign_roles(s.parts),
-                         forced_a=args.a, max_a=args.max_a,
-                         shells=args.conic_box)
+                         forced_a=args.a, max_a=args.max_a)
             for s in splits]
 
 
@@ -178,13 +178,12 @@ def _d4_certificates(args: argparse.Namespace) -> list[D4Certificate]:
     if any(v is not None for v in forced):
         if any(v is None for v in forced):
             raise InvalidParameter("--d1 and --d2 must be given together")
-        return [d4_construct(args.d, forced_pair=forced, shells=args.conic_box)]
+        return [d4_construct(args.d, forced_pair=forced)]
     pairs = enumerate_d4(args.d)
     if not pairs:
         raise FactorizationRejected(f"no D4-factorization: no admissible pair "
                                     f"of parts for d = {args.d}")
-    return [d4_construct(args.d, forced_pair=(p.d1, p.d2), shells=args.conic_box)
-            for p in pairs]
+    return [d4_construct(args.d, forced_pair=(p.d1, p.d2)) for p in pairs]
 
 
 def _alpha_string(cert: D4Certificate) -> str:
@@ -210,12 +209,12 @@ def _print_d4(cert: D4Certificate) -> None:
 
 
 def _check_golden_row(d: int, roles: tuple[int, int, int],
-                      coords: tuple[Fraction, ...], max_a: int,
-                      shells: int) -> dict[str, object]:
+                      coords: tuple[Fraction, ...],
+                      max_a: int) -> dict[str, object]:
     d1, d2, d3 = roles
     row: dict[str, object] = {"d": str(d), "roles": [str(v) for v in roles]}
     try:
-        cert = construct_h8(d, forced_roles=roles, max_a=max_a, shells=shells)
+        cert = construct_h8(d, forced_roles=roles, max_a=max_a)
     except QuatextError as exc:
         row.update({"pass": False, "delta": None,
                     "error": f"{type(exc).__name__}: {exc}"})
@@ -248,7 +247,7 @@ def _check_golden_row(d: int, roles: tuple[int, int, int],
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    rows = [_check_golden_row(d, roles, coords, args.max_a, args.conic_box)
+    rows = [_check_golden_row(d, roles, coords, args.max_a)
             for d, roles, coords in _GOLDEN_ROWS]
     if args.json:
         print(json.dumps(table_report_dict(rows), indent=2))
@@ -275,81 +274,64 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _scan_entry(d: int, f: H8Factorization | D4Factorization,
-                args: argparse.Namespace) -> dict[str, object]:
-    """Certify one splitting found by the scan; a failure is recorded in the
-    entry, not raised."""
+def _scan_entry(
+        d: int, f: H8Factorization | D4Factorization, args: argparse.Namespace,
+) -> tuple[tuple[int, ...], ExtensionCertificate | D4Certificate | None, str | None]:
+    """Certify one splitting found by the scan: its parts, then its H8 or D4
+    certificate or the failure reason (recorded, not raised)."""
     parts = f.parts if args.h8 else (f.d1, f.d2, f.d3)
-    entry: dict[str, object] = {"parts": [str(p) for p in parts]}
     try:
         if args.h8:
-            cert = h8cert_dict(construct_h8(d, forced_roles=assign_roles(parts),
-                                            max_a=args.max_a, shells=args.conic_box))
+            cert = construct_h8(d, forced_roles=assign_roles(parts), max_a=args.max_a)
         else:
-            cert = d4cert_dict(d4_construct(d, forced_pair=parts[:2],
-                                            shells=args.conic_box))
-        entry.update({"ok": True, "certificate": cert, "error": None})
+            cert = d4_construct(d, forced_pair=parts[:2])
     except QuatextError as exc:
-        entry.update({"ok": False, "certificate": None,
-                      "error": f"{type(exc).__name__}: {exc}"})
-    return entry
+        return parts, None, f"{type(exc).__name__}: {exc}"
+    return parts, cert, None
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
     mode = "h8" if args.h8 else "d4"
     enumerate_splits = enumerate_h8 if args.h8 else enumerate_d4
-    reports = []
+    found = []
     for d in range(lo, hi + 1):
         if d in (0, 1) or not is_fundamental(d):
             continue
         entries = [_scan_entry(d, f, args) for f in enumerate_splits(d)]
         if entries:
-            reports.append(runreport_dict(d, mode, entries))
+            found.append((d, entries))
     if args.json:
+        to_dict = h8cert_dict if args.h8 else d4cert_dict
+        reports = [runreport_dict(d, mode, [
+            {"parts": [str(p) for p in parts], "ok": cert is not None,
+             "certificate": None if cert is None else to_dict(cert),
+             "error": error}
+            for parts, cert, error in entries]) for d, entries in found]
         print(json.dumps(scan_report_dict(lo, hi, mode, reports), indent=2))
         return EXIT_OK
-    for report in reports:
-        n = len(report["entries"])
-        kind = "splitting" if mode == "h8" else "pair"
-        print(f"d = {report['d']}: {n} {kind}{'s' if n != 1 else ''}")
-        for entry in report["entries"]:
-            shown = "(" + ", ".join(entry["parts"]) + ")"
-            if entry["ok"]:
-                cert = entry["certificate"]
-                gen = cert["mu"] if mode == "h8" else cert["alpha"]
-                gen_str = _element_summary(gen) if mode == "h8" else _pair_summary(cert)
-                print(f"  {shown}: ok, class {cert['galois_class']}, {gen_str}")
-            else:
-                print(f"  {shown}: failed, {entry['error']}")
+    kind = "splitting" if args.h8 else "pair"
+    for d, entries in found:
+        print(f"d = {d}: {len(entries)} {kind}{'s' if len(entries) != 1 else ''}")
+        for parts, cert, error in entries:
+            shown = "(" + ", ".join(str(p) for p in parts) + ")"
+            if cert is None:
+                print(f"  {shown}: failed, {error}")
+                continue
+            gen = f"mu = {cert.mu}" if args.h8 else f"alpha = {_alpha_string(cert)}"
+            print(f"  {shown}: ok, class {cert.galois_class.value}, {gen}")
     return EXIT_OK
-
-
-def _element_summary(enc: dict[str, object]) -> str:
-    m, n = (int(v) for v in enc["base"])  # type: ignore[union-attr]
-    coords = tuple(Fraction(c) for c in enc["coords"])  # type: ignore[union-attr]
-    return f"mu = {element(m, n, *coords)}"
-
-
-def _pair_summary(cert: dict[str, object]) -> str:
-    d1, d2 = int(cert["d1"]), int(cert["d2"])  # type: ignore[arg-type]
-    c0, c1 = (Fraction(v) for v in cert["alpha"])  # type: ignore[union-attr]
-    return f"alpha = {element(d1, d2, c0, c1, 0, 0)}"
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, conic: bool = True,
-                max_a: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, max_a: bool = True) -> None:
     sub.add_argument("--json", action="store_true",
                      help="emit JSON instead of text")
-    if conic:
-        sub.add_argument("--conic-box", type=int, default=16, metavar="BOUND",
-                         help="direct-search bound before the descent kicks in")
     if max_a:
-        sub.add_argument("--max-a", type=int, default=100000, metavar="BOUND",
-                         help="largest auxiliary parameter tried")
+        sub.add_argument("--max-a", type=int, default=DEFAULT_MAX_A,
+                         metavar="BOUND", help="largest auxiliary parameter tried")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -362,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("factor", help="factor a discriminant into prime "
                                        "discriminants")
     p.add_argument("d", type=int)
-    _add_common(p, conic=False, max_a=False)
+    _add_common(p, max_a=False)
     p.set_defaults(func=_cmd_factor)
 
     p = subs.add_parser("h8", help="construct quaternion-type certificates")

@@ -1,10 +1,11 @@
 """Exact rational points on diagonal conics c1*x^2 + c2*y^2 + c3*z^2 = 0.
 
-Strategy: a tiny shell search on the original equation first (it finds the
-small solutions a human would), then classical reduction: normalize the
-coefficients to a squarefree, pairwise coprime, content-one triple while
-tracking the coordinate transform, test local solvability, and run a
-Lagrange-style descent with a complete bounded search as a safety net.
+Strategy: a shell search of the fixed box max(x, y, z) <= 16 on the
+original equation first (it finds the small solutions a human would), then
+classical reduction: normalize the coefficients to a squarefree, pairwise
+coprime, content-one triple while tracking the coordinate transform, test
+local solvability, and run a Lagrange-style descent with a complete
+bounded search as a safety net.
 All arithmetic is exact; every returned point is verified against the
 equation and reduced to a primitive nonnegative triple.
 """
@@ -31,6 +32,7 @@ __all__ = [
 
 _PRESEARCH_SHELLS = 16
 _DESCENT_DEPTH_LIMIT = 200
+DEFAULT_MAX_A = 100000
 
 
 @dataclass(frozen=True)
@@ -50,15 +52,12 @@ def _primitive_nonneg(x: int, y: int, z: int) -> tuple[int, int, int]:
     return (abs(x) // g, abs(y) // g, abs(z) // g)
 
 
-def _shell_scan(c1: int, c2: int, c3: int, shells: int,
-                skip_zero_last: bool) -> tuple[int, int, int] | None:
-    for s in range(1, shells + 1):
+def _shell_scan(c1: int, c2: int, c3: int) -> tuple[int, int, int] | None:
+    for s in range(1, _PRESEARCH_SHELLS + 1):
         for u in range(s + 1):
             for v in range(s + 1):
                 # only the surface max(u, v, w) == s of the cube is new
                 for w in range(s + 1) if s in (u, v) else (s,):
-                    if skip_zero_last and w == 0:
-                        continue
                     if gcd(gcd(u, v), w) != 1:
                         continue
                     if c1 * u * u + c2 * v * v + c3 * w * w == 0:
@@ -198,30 +197,7 @@ def _descend(c: list[int], visited: set[tuple[int, int, int]], depth: int) -> tu
     return _primitive_nonneg(*out)
 
 
-def _force_nonzero_last(c1: int, c2: int, c3: int,
-                        point: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Slide along the conic through `point` to make the last coordinate
-    nonzero.  Lines through a rational point sweep out all other points."""
-    x0, y0, z0 = point
-    if z0 != 0:
-        return point
-    for u, v, w in ((1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 2), (0, 1, 2), (2, 1, 1)):
-        lin = c1 * u * x0 + c2 * v * y0 + c3 * w * z0
-        quad = c1 * u * u + c2 * v * v + c3 * w * w
-        if lin == 0 or quad == 0:
-            continue
-        nx = quad * x0 - 2 * u * lin
-        ny = quad * y0 - 2 * v * lin
-        nz = -2 * w * lin
-        if nz != 0:
-            if c1 * nx * nx + c2 * ny * ny + c3 * nz * nz != 0:
-                raise InternalInvariant("line trick left the conic")
-            return _primitive_nonneg(nx, ny, nz)
-    raise InternalInvariant(f"could not move off z = 0 on ({c1}, {c2}, {c3})")
-
-
-def solve_conic(c1: int, c2: int, c3: int, *, shells: int = _PRESEARCH_SHELLS,
-                nonzero_last: bool = False) -> ConicSolution:
+def solve_conic(c1: int, c2: int, c3: int) -> ConicSolution:
     """A primitive nonnegative integer point on c1*x^2 + c2*y^2 + c3*z^2 = 0.
 
     Deterministic: the small shell search fixes which of the infinitely
@@ -230,21 +206,19 @@ def solve_conic(c1: int, c2: int, c3: int, *, shells: int = _PRESEARCH_SHELLS,
     """
     if c1 == 0 or c2 == 0 or c3 == 0:
         raise ValueError("conic coefficients must be nonzero")
-    hit = _shell_scan(c1, c2, c3, shells, nonzero_last)
+    hit = _shell_scan(c1, c2, c3)
     if hit is None:
         norm, mult = _normalize([c1, c2, c3])
         _check_local(norm)
         inner = _descend(norm, set(), 0)
         hit = _primitive_nonneg(mult[0] * inner[0], mult[1] * inner[1], mult[2] * inner[2])
-        if nonzero_last:
-            hit = _force_nonzero_last(c1, c2, c3, hit)
     if c1 * hit[0] ** 2 + c2 * hit[1] ** 2 + c3 * hit[2] ** 2 != 0:
         raise InternalInvariant("conic point failed final verification")
     return ConicSolution(*hit)
 
 
-def solve_system(d1: int, d2: int, d3: int, a: int, *,
-                 shells: int = _PRESEARCH_SHELLS) -> tuple[ConicSolution, ConicSolution, ConicSolution]:
+def solve_system(d1: int, d2: int, d3: int,
+                 a: int) -> tuple[ConicSolution, ConicSolution, ConicSolution]:
     """Points on the three coupled conics of the quaternion construction:
 
         d1*x1^2 - d2*x2^2 = -a*d3*x3^2
@@ -254,9 +228,9 @@ def solve_system(d1: int, d2: int, d3: int, a: int, *,
     The last coordinate of each point is automatically nonzero because the
     parts are distinct nontrivial fundamental discriminants.
     """
-    sol1 = solve_conic(d1, -d2, a * d3, shells=shells)
-    sol2 = solve_conic(1, -d1, -a, shells=shells)
-    sol3 = solve_conic(1, -d2, a, shells=shells)
+    sol1 = solve_conic(d1, -d2, a * d3)
+    sol2 = solve_conic(1, -d1, -a)
+    sol3 = solve_conic(1, -d2, a)
     for sol, label in ((sol1, "first"), (sol2, "second"), (sol3, "third")):
         if sol.z == 0:
             raise InternalInvariant(f"{label} system point has zero last coordinate")
@@ -286,7 +260,7 @@ def parameter_conditions(a: int, d1: int, d2: int) -> bool:
     return True
 
 
-def find_parameter_a(d1: int, d2: int, *, max_a: int = 100000,
+def find_parameter_a(d1: int, d2: int, *, max_a: int = DEFAULT_MAX_A,
                      exclude: frozenset[int] | set[int] = frozenset()) -> int:
     for a in parameter_candidates():
         if a > max_a:

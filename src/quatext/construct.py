@@ -15,8 +15,8 @@ from functools import lru_cache
 from math import gcd
 
 from ._intmath import prime_factors
-from .conic import (ConicSolution, find_parameter_a, parameter_conditions,
-                    solve_system)
+from .conic import (DEFAULT_MAX_A, ConicSolution, find_parameter_a,
+                    parameter_conditions, solve_system)
 from .errors import (FactorizationRejected, InternalInvariant,
                      InvalidParameter, NonIntegral, NonNormal)
 from .factorizations import check_h8_split, enumerate_h8
@@ -166,18 +166,24 @@ def normalize_roles(d: int, d1: int, d2: int, d3: int) -> tuple[int, int, int]:
     return (d1, d2, d3)
 
 
-def build_mu(d1: int, d2: int, d3: int, a: int, *, shells: int = 16) -> MuGenerator:
-    sol1, sol2, sol3 = solve_system(d1, d2, d3, a, shells=shells)
+def _primitive_scaling(x: BiquadElement) -> int:
+    """The gcd of the integral coordinates of the nonzero algebraic integer x."""
+    v = x.integral_coordinates()
+    if any(c.denominator != 1 for c in v):
+        raise InternalInvariant("raw generator is not an algebraic integer")
+    scaling = gcd(*(int(c) for c in v))
+    if scaling == 0:
+        raise InternalInvariant("raw generator vanished")
+    return scaling
+
+
+def build_mu(d1: int, d2: int, d3: int, a: int) -> MuGenerator:
+    sol1, sol2, sol3 = solve_system(d1, d2, d3, a)
     beta = element(d1, d2, 0, sol1.x, sol1.y, 0)
     gamma = element(d1, d2, sol2.x, sol2.y, 0, 0)
     delta = element(d1, d2, sol3.x, 0, sol3.y, 0)
     mu_raw = beta * gamma * delta
-    v = mu_raw.integral_coordinates()
-    if any(c.denominator != 1 for c in v):
-        raise InternalInvariant("raw generator is not an algebraic integer")
-    scaling = gcd(gcd(int(v[0]), int(v[1])), gcd(int(v[2]), int(v[3])))
-    if scaling == 0:
-        raise InternalInvariant("raw generator vanished")
+    scaling = _primitive_scaling(mu_raw)
     mu = mu_raw / scaling
     if not mu.is_integral():
         raise InternalInvariant("scaled generator left the maximal order")
@@ -207,6 +213,10 @@ def two_primary_oracle(x: BiquadElement) -> bool:
     return tuple(int(c) % 4 for c in v) in _squares_mod4(x.m, x.n)
 
 
+# Rational twists tried on a generator until it is congruent to a square mod 4.
+_TWISTS = {"none": 1, "negate": -1, "double": 2, "negate-double": -2}
+
+
 def two_primary_normalize(mu: BiquadElement, d1: int, d2: int) -> tuple[BiquadElement, str]:
     """Pick the twist of mu that is congruent to a square mod 4.
 
@@ -215,16 +225,15 @@ def two_primary_normalize(mu: BiquadElement, d1: int, d2: int) -> tuple[BiquadEl
     """
     pcon = (d1 * d2) % 8
     if pcon in (0, 1):
-        primary = [("none", mu), ("negate", -mu)]
-        fallback = [("double", 2 * mu), ("negate-double", -2 * mu)]
+        groups = (("none", "negate"), ("double", "negate-double"))
     elif pcon == 4:
-        primary = [("none", mu), ("double", 2 * mu)]
-        fallback = [("negate", -mu), ("negate-double", -2 * mu)]
+        groups = (("none", "double"), ("negate", "negate-double"))
     else:
         raise InternalInvariant(f"role pair product {d1 * d2} = 5 (mod 8) slipped through")
     # the fallback doublings only matter for role assignments that park the
     # even part in d3, where multiplying by 2 flips valuation parity above 2
-    for candidates in (primary, fallback):
+    for labels in groups:
+        candidates = ((label, _TWISTS[label] * mu) for label in labels)
         passing = [(label, c) for label, c in candidates if two_primary_oracle(c)]
         if not passing:
             continue
@@ -370,8 +379,8 @@ def same_extension(mu1: BiquadElement, mu2: BiquadElement, d3: int,
 
 
 def construct_h8(d: int, *, forced_roles: tuple[int, int, int] | None = None,
-                 forced_a: int | None = None, max_a: int = 100000,
-                 shells: int = 16) -> ExtensionCertificate:
+                 forced_a: int | None = None,
+                 max_a: int = DEFAULT_MAX_A) -> ExtensionCertificate:
     """End-to-end construction and certification for the discriminant d."""
     if forced_roles is not None:
         d1, d2, d3 = normalize_roles(d, *forced_roles)
@@ -390,7 +399,7 @@ def construct_h8(d: int, *, forced_roles: tuple[int, int, int] | None = None,
     else:
         a = find_parameter_a(d1, d2, max_a=max_a)
 
-    gen = build_mu(d1, d2, d3, a, shells=shells)
+    gen = build_mu(d1, d2, d3, a)
     try:
         mu_norm, twist = two_primary_normalize(gen.mu, d1, d2)
     except InternalInvariant:

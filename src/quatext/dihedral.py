@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .conic import ConicSolution, solve_conic
-from .construct import GaloisClass, classify, compute_alpha, two_primary_oracle
-from .errors import FactorizationRejected, InternalInvariant
+from .construct import (_TWISTS, GaloisClass, _primitive_scaling, classify,
+                        compute_alpha, two_primary_oracle)
+from .errors import FactorizationRejected, InternalInvariant, QuatextError
 from .factorizations import check_d4_split, enumerate_d4
 from .field import GaloisAction, _rat_sqrt, element
 
@@ -46,9 +46,6 @@ class D4Certificate:
     degenerate: bool
 
 
-_TWISTS = {"none": 1, "negate": -1, "double": 2, "negate-double": -2}
-
-
 def _lift_signs(d1: int, d2: int, alpha: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
     """Lift signs of sigma, tau and sigma*tau for the quadratic step
     generated by the square root of alpha, embedded in Q(sqrt(d1), sqrt(d2))."""
@@ -59,8 +56,8 @@ def _lift_signs(d1: int, d2: int, alpha: tuple[Fraction, Fraction]) -> tuple[int
                                        ("sigma_tau", GaloisAction.SIGMA_TAU)))
 
 
-def d4_construct(d: int, *, forced_pair: tuple[int, int] | None = None,
-                 shells: int = 16) -> D4Certificate:
+def d4_construct(d: int, *,
+                 forced_pair: tuple[int, int] | None = None) -> D4Certificate:
     """Construct and certify a dihedral generator for the discriminant d."""
     if forced_pair is not None:
         d1, d2 = forced_pair
@@ -72,14 +69,13 @@ def d4_construct(d: int, *, forced_pair: tuple[int, int] | None = None,
         d1, d2 = pairs[0].d1, pairs[0].d2
     d3 = d // (d1 * d2)
 
-    sol = solve_conic(1, -d1, -d2, shells=shells)
+    sol = solve_conic(1, -d1, -d2)
     if sol.y == 0 or sol.z == 0:
         raise InternalInvariant("degenerate conic point for a nonsquare part")
     if sol.x * sol.x - d1 * sol.y * sol.y != d2 * sol.z * sol.z:
         raise InternalInvariant("conic point fails the defining equation")
 
-    v = element(d1, d2, sol.x, sol.y, 0, 0).integral_coordinates()
-    scaling = gcd(*(int(c) for c in v))
+    scaling = _primitive_scaling(element(d1, d2, sol.x, sol.y, 0, 0))
     c0, c1 = Fraction(sol.x, scaling), Fraction(sol.y, scaling)
 
     # The square-mod-4 test runs in the compositum's maximal order, where the
@@ -118,11 +114,17 @@ def d4_construct(d: int, *, forced_pair: tuple[int, int] | None = None,
 
 
 def d4_verify(cert: D4Certificate) -> bool:
-    """Recheck every claim in a dihedral certificate from scratch."""
+    """Recheck every claim in a dihedral certificate from scratch.  A
+    tampered certificate gives False, never an exception."""
     try:
-        check_d4_split(cert.d, cert.d1, cert.d2)
-    except FactorizationRejected:
+        return _d4_claims_hold(cert)
+    except QuatextError:
         return False
+
+
+def _d4_claims_hold(cert: D4Certificate) -> bool:
+    """d4_verify's checks; a field that breaks a check's domain raises."""
+    check_d4_split(cert.d, cert.d1, cert.d2)
     if cert.d1 * cert.d2 * cert.d3 != cert.d or cert.degenerate != (cert.d3 == 1):
         return False
 

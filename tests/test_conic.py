@@ -15,6 +15,7 @@ from quatext import (
     solve_conic,
     solve_system,
 )
+from quatext.conic import _PRESEARCH_SHELLS
 from oracles import box_search
 
 
@@ -68,17 +69,12 @@ class TestSolveConic:
         with pytest.raises(ValueError):
             solve_conic(0, 1, -1)
 
-    def test_nonzero_last_moves_off_the_plane(self):
-        plain = solve_conic(1, -1, -3)
-        assert plain.z == 0
-        moved = solve_conic(1, -1, -3, nonzero_last=True)
-        assert moved.z != 0
-        assert moved.x**2 - moved.y**2 - 3 * moved.z**2 == 0
-
     def test_large_coefficients_descend(self):
-        # solvable by construction via (123, 10, 1); no point has all
-        # coordinates <= 2, so this exercises the descent machinery
-        sol = solve_conic(1, -47, -10429, shells=2)
+        # solvable by construction via (123, 10, 1); z = 0 forces x = y = 0,
+        # so every point has x^2 >= 10429, x >= 103: the presearch box
+        # misses and the point must come from the descent
+        assert box_search(1, -47, -10429, _PRESEARCH_SHELLS) is None
+        sol = solve_conic(1, -47, -10429)
         assert sol.x**2 - 47 * sol.y**2 - 10429 * sol.z**2 == 0
         assert is_primitive_nonneg(sol)
 

@@ -78,6 +78,13 @@ class TestD4Verify:
         assert not d4_verify(dataclasses.replace(c, twist="none"))
         assert not d4_verify(dataclasses.replace(
             c, solution=dataclasses.replace(c.solution, x=c.solution.x + 1)))
+        # mutations that break a check's preconditions give False, not an error
+        assert d4_verify(dataclasses.replace(c, d=681)) is False
+        assert d4_verify(dataclasses.replace(c, d1=9)) is False
+        assert d4_verify(dataclasses.replace(c, d2=1, d3=85)) is False
+        assert d4_verify(dataclasses.replace(
+            c, alpha=(c.alpha[0] / 2, c.alpha[1] / 2), norm_root=c.norm_root / 2,
+            scaling=2 * c.scaling)) is False
 
     def test_certificate_is_frozen(self):
         c = d4_construct(680)

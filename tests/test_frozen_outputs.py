@@ -22,6 +22,16 @@ FROZEN = [
      "b4bd630c4596b599ee5485dd65669a38bc497529387217971f42f16ecaa36452"),
     ("d4 -1380 --json",
      "57870f46fcf47b5647d92a33b3315a0753f5d6ce928e7d273dea214aa6fc1402"),
+    ("table2",
+     "2aa39c556ed415de4d6b90fe656379c5458a5107b82a4cfd52ab9013c5da9d5a"),
+    ("scan -2000..2000 --h8",
+     "4efbf736195830e32a878f518f9fbbeb7498c10c30161fe843f36e95aa11ff93"),
+    ("scan -2000..2000 --d4",
+     "35cc5f3570ad4b3d45771e29f83f23bd3490d0d90c3574e3cdd4e3376a38dacf"),
+    ("h8 -1380",
+     "8b332af6565e94d61c6249dc9ad937332112ac263e92c08b43fb72257a6486cf"),
+    ("d4 -1380",
+     "bad11cabbffb412c8bcdc4643d929685d3dfe9bd4ced0d38947d2c8642eda210"),
 ]
 
 
