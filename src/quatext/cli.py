@@ -3,15 +3,17 @@
 Subcommands: factor, h8, d4, table2, scan.  Exit codes: 0 success,
 1 the requested object does not exist (failed splitting condition, local
 obstruction, exhausted search), 2 invalid input, 3 internal invariant
-violation.  With --json the output follows the schemas factorization/1,
-h8cert/1, d4cert/1, table2/1 and scanreport/1; all integers are encoded
-as decimal strings.
+violation, 141 standard output closed early by its reader, as in
+`quatext scan ... | head` (128 + SIGPIPE).  With --json the output
+follows the schemas factorization/1, h8cert/1, d4cert/1, table2/1 and
+scanreport/1; all integers are encoded as decimal strings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_NO_OBJECT = 1
 EXIT_BAD_INPUT = 2
 EXIT_INVARIANT = 3
+EXIT_BROKEN_PIPE = 141
 
 _INPUT_ERRORS = (InvalidDiscriminant, InvalidParameter)
 _DOMAIN_ERRORS = (FactorizationRejected, LocalObstruction, SearchExhausted)
@@ -389,7 +392,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that went away shows up here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -1,11 +1,12 @@
 """Exact rational points on diagonal conics c1*x^2 + c2*y^2 + c3*z^2 = 0.
 
-Strategy: a shell search of the fixed box max(x, y, z) <= 16 on the
-original equation first (it finds the small solutions a human would), then
-classical reduction: normalize the coefficients to a squarefree, pairwise
-coprime, content-one triple while tracking the coordinate transform, test
-local solvability, and run a Lagrange-style descent with a complete
-bounded search as a safety net.
+Strategy: a search of the fixed box max(x, y, z) <= 16 on the original
+equation first (it finds the small solutions a human would; of the points
+in the box it returns the primitive one least by (max(x, y, z), x, y, z)),
+then classical reduction: normalize the coefficients to a squarefree,
+pairwise coprime, content-one triple while tracking the coordinate
+transform, test local solvability, and run a Lagrange-style descent with a
+complete bounded search as a safety net.
 All arithmetic is exact; every returned point is verified against the
 equation and reduced to a primitive nonnegative triple.
 """
@@ -53,16 +54,25 @@ def _primitive_nonneg(x: int, y: int, z: int) -> tuple[int, int, int]:
 
 
 def _shell_scan(c1: int, c2: int, c3: int) -> tuple[int, int, int] | None:
-    for s in range(1, _PRESEARCH_SHELLS + 1):
-        for u in range(s + 1):
-            for v in range(s + 1):
-                # only the surface max(u, v, w) == s of the cube is new
-                for w in range(s + 1) if s in (u, v) else (s,):
-                    if gcd(gcd(u, v), w) != 1:
-                        continue
-                    if c1 * u * u + c2 * v * v + c3 * w * w == 0:
-                        return (u, v, w)
-    return None
+    """The primitive point with coordinates in [0, 16] that is least by
+    (max(x, y, z), x, y, z), or None.  Each (x, y) leaves at most one
+    z >= 0, so only the 17 x 17 grid of (x, y) is scanned."""
+    box = _PRESEARCH_SHELLS
+    best: tuple[int, int, int, int] | None = None
+    c2y2 = [c2 * y * y for y in range(box + 1)]
+    for x in range(box + 1):
+        c1x2 = c1 * x * x
+        for y in range(box + 1):
+            q, r = divmod(-(c1x2 + c2y2[y]), c3)
+            if r or q < 0 or q > box * box:
+                continue
+            z = isqrt(q)
+            if z * z != q or gcd(gcd(x, y), z) != 1:
+                continue
+            key = (max(x, y, z), x, y, z)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1:]
 
 
 def _normalize(c: list[int]) -> tuple[list[int], list[int]]:

@@ -21,8 +21,7 @@ from .errors import (FactorizationRejected, InternalInvariant,
                      InvalidParameter, NonIntegral, NonNormal)
 from .factorizations import check_h8_split, enumerate_h8
 from .field import (BiquadElement, GaloisAction, element, embedding_signs,
-                    from_integral_coords, is_square, is_totally_positive,
-                    rational_element)
+                    is_square, is_totally_positive, rational_element)
 from .infinity import InfinityVerdict, infinity_verdict
 from .symbols import disc_sort_key, factor_discriminant
 
@@ -192,16 +191,34 @@ def build_mu(d1: int, d2: int, d3: int, a: int) -> MuGenerator:
                        mu_raw=mu_raw, scaling=scaling, mu=mu)
 
 
-@lru_cache(maxsize=64)
+def _mul_mod4(x: tuple[int, int], y: tuple[int, int], m: int,
+              k: int) -> tuple[int, int]:
+    """(x0 + x1*w)(y0 + y1*w) mod 4 in Z[w], where w^2 = m*w - k."""
+    t = x[1] * y[1]
+    return ((x[0] * y[0] - k * t) % 4, (x[0] * y[1] + x[1] * y[0] + m * t) % 4)
+
+
+@lru_cache(maxsize=None)
 def _squares_mod4(m: int, n: int) -> frozenset[tuple[int, ...]]:
     """Integral coordinates mod 4 of every square in the maximal order of
-    Q(sqrt(m), sqrt(n)).  Since (xi + 2*eta)^2 = xi^2 (mod 4), the squares
-    of the 16 elements with integral coordinates in {0, 1} give them all."""
+    Q(sqrt(m), sqrt(n)), given the residues m, n mod 16 of its base.
+
+    On the basis 1, w1, w2, w1*w2 with w1 = (m + sqrt m)/2 and w2 likewise,
+    w1^2 = m*w1 - k1 with k1 = (m^2 - m)/4, so mod 4 the multiplication
+    table depends only on m and n mod 16.  Since (xi + 2*eta)^2 = xi^2
+    (mod 4), the squares of the 16 elements with coordinates in {0, 1}
+    give them all; xi = A + B*w2 with A, B in Z[w1] squares to
+    A^2 - k2*B^2 + (2AB + n*B^2)*w2.
+    """
+    k1, k2 = m * (m - 1) // 4, n * (n - 1) // 4
     out = set()
     for mask in range(16):
-        xi = from_integral_coords(m, n, ((mask >> 0) & 1, (mask >> 1) & 1,
-                                         (mask >> 2) & 1, (mask >> 3) & 1))
-        out.add(tuple(int(c) % 4 for c in (xi * xi).integral_coordinates()))
+        a = (mask & 1, (mask >> 1) & 1)
+        b = ((mask >> 2) & 1, (mask >> 3) & 1)
+        aa, ab, bb = (_mul_mod4(a, a, m, k1), _mul_mod4(a, b, m, k1),
+                      _mul_mod4(b, b, m, k1))
+        out.add(((aa[0] - k2 * bb[0]) % 4, (aa[1] - k2 * bb[1]) % 4,
+                 (2 * ab[0] + n * bb[0]) % 4, (2 * ab[1] + n * bb[1]) % 4))
     return frozenset(out)
 
 
@@ -210,7 +227,7 @@ def two_primary_oracle(x: BiquadElement) -> bool:
     v = x.integral_coordinates()
     if any(c.denominator != 1 for c in v):
         raise NonIntegral(f"{x} is not integral")
-    return tuple(int(c) % 4 for c in v) in _squares_mod4(x.m, x.n)
+    return tuple(int(c) % 4 for c in v) in _squares_mod4(x.m % 16, x.n % 16)
 
 
 # Rational twists tried on a generator until it is congruent to a square mod 4.

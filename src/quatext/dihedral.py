@@ -138,7 +138,8 @@ def _d4_claims_hold(cert: D4Certificate) -> bool:
 
     a0, a1 = cert.alpha
     norm = a0 * a0 - cert.d1 * a1 * a1
-    if norm != cert.d2 * cert.norm_root * cert.norm_root:
+    # the builder states the positive root; its square alone hides a sign
+    if cert.norm_root <= 0 or norm != cert.d2 * cert.norm_root * cert.norm_root:
         return False
     if not cert.two_primary:
         return False

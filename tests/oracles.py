@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt, sqrt
+from math import gcd, isqrt, sqrt
 
 from sympy import factorint, jacobi_symbol
 
@@ -140,6 +140,55 @@ def box_search(c1: int, c2: int, c3: int, box: int) -> tuple[int, int, int] | No
             if z * z == zsq and (x, y, z) != (0, 0, 0):
                 return (x, y, z)
     return None
+
+
+def shell_scan_ref(c1: int, c2: int, c3: int) -> tuple[int, int, int] | None:
+    """First primitive nonnegative point of c1*x^2 + c2*y^2 + c3*z^2 = 0
+    met walking the shells max(x, y, z) = 1, ..., 16 outward, each shell
+    in lexicographic order of (x, y, z)."""
+    for s in range(1, 17):
+        for u in range(s + 1):
+            for v in range(s + 1):
+                # only the surface max(u, v, w) == s of the cube is new
+                for w in range(s + 1) if s in (u, v) else (s,):
+                    if gcd(gcd(u, v), w) != 1:
+                        continue
+                    if c1 * u * u + c2 * v * v + c3 * w * w == 0:
+                        return (u, v, w)
+    return None
+
+
+def _biquad_mul(m: int, n: int, a, b):
+    """Product in Q(sqrt(m), sqrt(n)) on the basis 1, sqrt m, sqrt n, sqrt mn."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + m * a1 * b1 + n * a2 * b2 + m * n * a3 * b3,
+            a0 * b1 + a1 * b0 + n * (a2 * b3 + a3 * b2),
+            a0 * b2 + a2 * b0 + m * (a1 * b3 + a3 * b1),
+            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
+
+
+def squares_mod4_ref(m: int, n: int) -> frozenset[tuple[int, int, int, int]]:
+    """Coordinates mod 4, over the integral basis 1, w1, w2, w1*w2 with
+    w1 = (m + sqrt m)/2 and w2 = (n + sqrt n)/2, of the squares of the 16
+    elements with integral coordinates in {0, 1}: every square of the
+    maximal order of Q(sqrt(m), sqrt(n)) mod 4.  Fraction arithmetic on
+    the power basis."""
+    w1 = (Fraction(m, 2), Fraction(1, 2), 0, 0)
+    w2 = (Fraction(n, 2), 0, Fraction(1, 2), 0)
+    basis = ((1, 0, 0, 0), w1, w2, _biquad_mul(m, n, w1, w2))
+    out = set()
+    for v in product((0, 1), repeat=4):
+        xi = tuple(sum(c * e[i] for c, e in zip(v, basis)) for i in range(4))
+        c0, c1, c2, c3 = _biquad_mul(m, n, xi, xi)
+        # invert the change of basis: w1*w2 carries sqrt(mn)/4, and so on
+        v3 = 4 * c3
+        v2 = 2 * c2 - 2 * m * c3
+        v1 = 2 * c1 - 2 * n * c3
+        v0 = c0 - Fraction(m, 2) * v1 - Fraction(n, 2) * v2 - Fraction(m * n, 4) * v3
+        assert all(Fraction(t).denominator == 1 for t in (v0, v1, v2, v3))
+        out.add(tuple(int(t) % 4 for t in (v0, v1, v2, v3)))
+    return frozenset(out)
 
 
 def embedding_sign_float(m: int, n: int, coords, sm: int, sn: int) -> int:

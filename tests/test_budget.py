@@ -1,15 +1,20 @@
 """Bounds on repeated work: a construction factors each discriminant a
 bounded number of times, a splitting check factors only the parts whose
-odd part is composite and never d, and a field base is checked once, not
-on every arithmetic result.  The construction bounds are upper bounds, so
-they hold whatever the package's caches already hold."""
+odd part is composite and never d, a field base is checked once, not on
+every arithmetic result, and the squares mod 4 are tabulated once per
+residue class of the base mod 16, by integer arithmetic.  The
+construction bounds are upper bounds, so they hold whatever the
+package's caches already hold."""
 
 import pytest
 
 import quatext._intmath
 import quatext.field
-from quatext import (BaseMismatch, check_d4_split, check_h8_split, construct_h8,
-                     d4_construct, element, is_h8_split)
+from quatext import (BaseMismatch, BiquadElement, check_d4_split, check_h8_split,
+                     construct_h8, d4_construct, element, is_h8_split,
+                     two_primary_oracle)
+from quatext.cli import main
+from quatext.construct import _squares_mod4
 
 
 def count_calls(monkeypatch, module, name):
@@ -63,3 +68,19 @@ def test_split_checks_factor_only_composite_parts(monkeypatch):
     assert calls == []
     is_h8_split(-1560, (-3, 8, 65))
     assert [n for (n,) in calls] == [65]
+
+
+def test_square_table_built_once_per_residue_class(capsys):
+    _squares_mod4.cache_clear()
+    assert main("scan -2000..2000 --d4 --json".split()) == 0
+    capsys.readouterr()
+    # 6 residues mod 16 of a fundamental discriminant, 32 coprime pairs
+    assert _squares_mod4.cache_info().misses <= 32
+
+
+def test_square_mod4_test_multiplies_no_field_elements(monkeypatch):
+    _squares_mod4.cache_clear()
+    x = element(-7, 13, 3, 1, 2, 5)
+    calls = count_calls(monkeypatch, BiquadElement, "__mul__")
+    two_primary_oracle(x)
+    assert calls == []

@@ -280,6 +280,21 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == "5 · 8 · 13\n"
 
+    def test_closed_pipe_exits_quietly(self):
+        """A reader that stops early, as `| head -n 8` does.  The output
+        (about 540 kB) overflows the pipe, so the scan is still writing when
+        the pipe closes."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quatext.cli", "scan", "-2000..2000", "--d4", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env())
+        lines = [proc.stdout.readline() for _ in range(8)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert lines[0] == b"{\n" and all(lines)
+        assert "Traceback" not in err
+
     def test_console_script(self, tmp_path):
         write_launcher(tmp_path / "bin", "quatext")
         proc = subprocess.run(["quatext", "h8", "-255"],

@@ -4,6 +4,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatext import (
     ConicSolution,
@@ -15,8 +17,8 @@ from quatext import (
     solve_conic,
     solve_system,
 )
-from quatext.conic import _PRESEARCH_SHELLS
-from oracles import box_search
+from quatext.conic import _PRESEARCH_SHELLS, _shell_scan
+from oracles import box_search, shell_scan_ref
 
 
 def is_primitive_nonneg(sol: ConicSolution) -> bool:
@@ -97,6 +99,38 @@ class TestSolveConic:
                 assert c1 * sol.x**2 + c2 * sol.y**2 + c3 * sol.z**2 == 0
                 # the brute box may only miss the point if it lies outside
                 assert brute is not None or max(sol.as_tuple()) > 25, (c1, c2, c3, sol)
+
+
+coefficient = st.integers(-300, 300).filter(bool)
+
+
+@st.composite
+def conic_through_box_point(draw):
+    """Coefficients with a point (x, y, z) of the box on them by construction:
+    c1*z^2, c2*z^2 and -(c1*x^2 + c2*y^2)."""
+    c1, c2 = draw(coefficient), draw(coefficient)
+    x, y = draw(st.integers(0, 16)), draw(st.integers(0, 16))
+    z = draw(st.integers(1, 16))
+    c3 = -(c1 * x * x + c2 * y * y)
+    if c3 == 0:
+        c3 = draw(coefficient)
+    return (c1 * z * z, c2 * z * z, c3)
+
+
+class TestShellScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(coefficient, coefficient, coefficient),
+                     conic_through_box_point()))
+    @example((1, 1, -2))        # hit at shell 1
+    @example((1, -59, -20))     # hit at shell 16, and the only one
+    @example((1, 1, -50))       # (1, 7, 1) and (7, 1, 1) lose to (5, 5, 1)
+    @example((1, 1, -25))       # (0, 5, 1) and (4, 3, 1) lose to (3, 4, 1)
+    @example((1, 2, -57))       # (1, 16, 3) loses to (5, 4, 1)
+    @example((1, 2, -11))       # (1, 7, 3) loses to (3, 1, 1)
+    @example((1, 2, 3))         # no real point
+    def test_matches_shell_walk(self, coeffs):
+        """The grid scan returns the point the shell-by-shell walk meets first."""
+        assert _shell_scan(*coeffs) == shell_scan_ref(*coeffs)
 
 
 class TestSolveSystem:

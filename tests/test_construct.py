@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -28,8 +29,9 @@ from quatext import (
     two_primary_normalize,
     two_primary_oracle,
 )
+from quatext.construct import _squares_mod4
 from quatext.field import from_integral_coords
-from oracles import fundamental_ref
+from oracles import fundamental_ref, squares_mod4_ref
 
 GOLDEN_ROLES = {
     3848: (8, 13, 37),
@@ -122,6 +124,26 @@ class TestTwoPrimary:
                         brute = True
                         break
                 assert two_primary_oracle(x) == brute, (m, n, v)
+
+    def test_square_table_matches_fraction_reference_per_class(self):
+        # the table is keyed by the base's residues mod 16; check each of
+        # the 32 admissible residue classes on its first and last base
+        fundamental = [d for d in range(-400, 401) if fundamental_ref(d)]
+        bases: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for m, n in product(fundamental, repeat=2):
+            if gcd(m, n) == 1:
+                bases.setdefault((m % 16, n % 16), []).append((m, n))
+        assert len(bases) == 32
+        for key, members in bases.items():
+            assert len(members) >= 2, key
+            for m, n in (members[0], members[-1]):
+                assert _squares_mod4(*key) == squares_mod4_ref(m, n), (m, n)
+
+    def test_square_table_matches_fraction_reference_small_bases(self):
+        fundamental = [d for d in range(-60, 61) if fundamental_ref(d)]
+        for m, n in product(fundamental, repeat=2):
+            if gcd(m, n) == 1:
+                assert _squares_mod4(m % 16, n % 16) == squares_mod4_ref(m, n), (m, n)
 
     def test_normalize_labels(self):
         c = construct_h8(520)

@@ -74,6 +74,7 @@ class TestD4Verify:
         c = d4_construct(680)
         assert not d4_verify(dataclasses.replace(c, svector=(1, -1, -1)))
         assert not d4_verify(dataclasses.replace(c, norm_root=Fraction(2)))
+        assert not d4_verify(dataclasses.replace(c, norm_root=-c.norm_root))
         assert not d4_verify(dataclasses.replace(c, d3=10))
         assert not d4_verify(dataclasses.replace(c, twist="none"))
         assert not d4_verify(dataclasses.replace(

@@ -32,6 +32,11 @@ FROZEN = [
      "8b332af6565e94d61c6249dc9ad937332112ac263e92c08b43fb72257a6486cf"),
     ("d4 -1380",
      "bad11cabbffb412c8bcdc4643d929685d3dfe9bd4ced0d38947d2c8642eda210"),
+    # many conic presearch hits and twists; the second has failed entries
+    ("scan 1..5000 --d4 --json",
+     "057a2c147c5e4494d3e7703453d25aff5723f444cac40d28b6f43288498be1eb"),
+    ("scan -3000..3000 --h8 --max-a 2 --json",
+     "f15d9612e507bbc79ca253972adbe3236ed1f9e0412a2b34d92f88bff85799c6"),
 ]
 
 
