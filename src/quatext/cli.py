@@ -20,20 +20,19 @@ from fractions import Fraction
 from typing import Callable
 
 from .conic import DEFAULT_MAX_A
-from .construct import (ExtensionCertificate, GaloisClass, assign_roles,
-                        construct_h8, divisor_twists, k_square_class_equal,
-                        same_extension)
+from .construct import (ExtensionCertificate, GaloisClass, construct_h8,
+                        divisor_twists, k_square_class_equal, same_extension)
 from .dihedral import D4Certificate, d4_construct
 from .errors import (BaseMismatch, FactorizationRejected, InternalInvariant,
                      InvalidDiscriminant, InvalidParameter, LocalObstruction,
-                     NonIntegral, NonNormal, QuatextError, SearchExhausted,
-                     SymbolDomain)
-from .factorizations import (D4Factorization, H8Factorization, check_h8_split,
-                             enumerate_d4, enumerate_h8)
+                     NonIntegral, NonNormal, NotFundamental, QuatextError,
+                     SearchExhausted, SymbolDomain)
+from .factorizations import (D4Factorization, H8Factorization, check_d4_split,
+                             check_h8_split, enumerate_d4, enumerate_h8)
 from .field import element
 from .serialize import (d4cert_dict, factorization_dict, h8cert_dict,
                         runreport_dict, scan_report_dict, table_report_dict)
-from .symbols import disc_sort_key, factor_discriminant, is_fundamental
+from .symbols import disc_sort_key, factor_discriminant
 
 __all__ = ["main"]
 
@@ -130,14 +129,12 @@ def _h8_certificates(args: argparse.Namespace) -> list[ExtensionCertificate]:
     if any(v is not None for v in forced):
         if any(v is None for v in forced):
             raise InvalidParameter("--d1, --d2 and --d3 must be given together")
-        return [construct_h8(args.d, forced_roles=forced, forced_a=args.a,
-                             max_a=args.max_a)]
+        return [construct_h8(check_h8_split(args.d, forced), roles=forced,
+                             forced_a=args.a, max_a=args.max_a)]
     splits = enumerate_h8(args.d)
     if not splits:
         raise FactorizationRejected(_no_h8_reason(args.d))
-    return [construct_h8(args.d, forced_roles=assign_roles(s.parts),
-                         forced_a=args.a, max_a=args.max_a)
-            for s in splits]
+    return [construct_h8(s, forced_a=args.a, max_a=args.max_a) for s in splits]
 
 
 def _print_h8(cert: ExtensionCertificate) -> None:
@@ -181,12 +178,12 @@ def _d4_certificates(args: argparse.Namespace) -> list[D4Certificate]:
     if any(v is not None for v in forced):
         if any(v is None for v in forced):
             raise InvalidParameter("--d1 and --d2 must be given together")
-        return [d4_construct(args.d, forced_pair=forced)]
+        return [d4_construct(check_d4_split(args.d, *forced))]
     pairs = enumerate_d4(args.d)
     if not pairs:
         raise FactorizationRejected(f"no D4-factorization: no admissible pair "
                                     f"of parts for d = {args.d}")
-    return [d4_construct(args.d, forced_pair=(p.d1, p.d2)) for p in pairs]
+    return [d4_construct(p) for p in pairs]
 
 
 def _alpha_string(cert: D4Certificate) -> str:
@@ -217,7 +214,7 @@ def _check_golden_row(d: int, roles: tuple[int, int, int],
     d1, d2, d3 = roles
     row: dict[str, object] = {"d": str(d), "roles": [str(v) for v in roles]}
     try:
-        cert = construct_h8(d, forced_roles=roles, max_a=max_a)
+        cert = construct_h8(check_h8_split(d, roles), roles=roles, max_a=max_a)
     except QuatextError as exc:
         row.update({"pass": False, "delta": None,
                     "error": f"{type(exc).__name__}: {exc}"})
@@ -278,51 +275,52 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _scan_entry(
-        d: int, f: H8Factorization | D4Factorization, args: argparse.Namespace,
+        f: H8Factorization | D4Factorization, args: argparse.Namespace,
 ) -> tuple[tuple[int, ...], ExtensionCertificate | D4Certificate | None, str | None]:
     """Certify one splitting found by the scan: its parts, then its H8 or D4
     certificate or the failure reason (recorded, not raised)."""
     parts = f.parts if args.h8 else (f.d1, f.d2, f.d3)
     try:
-        if args.h8:
-            cert = construct_h8(d, forced_roles=assign_roles(parts), max_a=args.max_a)
-        else:
-            cert = d4_construct(d, forced_pair=parts[:2])
+        cert = construct_h8(f, max_a=args.max_a) if args.h8 else d4_construct(f)
     except QuatextError as exc:
         return parts, None, f"{type(exc).__name__}: {exc}"
     return parts, cert, None
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    """Certify every splitting of each fundamental d in the range.  Text
+    goes out one d at a time; --json collects one document."""
     lo, hi = _parse_range(args.range)
     mode = "h8" if args.h8 else "d4"
     enumerate_splits = enumerate_h8 if args.h8 else enumerate_d4
-    found = []
-    for d in range(lo, hi + 1):
-        if d in (0, 1) or not is_fundamental(d):
-            continue
-        entries = [_scan_entry(d, f, args) for f in enumerate_splits(d)]
-        if entries:
-            found.append((d, entries))
-    if args.json:
-        to_dict = h8cert_dict if args.h8 else d4cert_dict
-        reports = [runreport_dict(d, mode, [
-            {"parts": [str(p) for p in parts], "ok": cert is not None,
-             "certificate": None if cert is None else to_dict(cert),
-             "error": error}
-            for parts, cert, error in entries]) for d, entries in found]
-        print(json.dumps(scan_report_dict(lo, hi, mode, reports), indent=2))
-        return EXIT_OK
+    to_dict = h8cert_dict if args.h8 else d4cert_dict
     kind = "splitting" if args.h8 else "pair"
-    for d, entries in found:
-        print(f"d = {d}: {len(entries)} {kind}{'s' if len(entries) != 1 else ''}")
-        for parts, cert, error in entries:
-            shown = "(" + ", ".join(str(p) for p in parts) + ")"
-            if cert is None:
-                print(f"  {shown}: failed, {error}")
-                continue
-            gen = f"mu = {cert.mu}" if args.h8 else f"alpha = {_alpha_string(cert)}"
-            print(f"  {shown}: ok, class {cert.galois_class.value}, {gen}")
+    reports = []
+    for d in range(lo, hi + 1):
+        try:
+            splits = enumerate_splits(d)
+        except NotFundamental:
+            continue
+        entries = [_scan_entry(f, args) for f in splits]
+        if entries and args.json:
+            reports.append(runreport_dict(d, mode, [
+                {"parts": [str(p) for p in parts], "ok": cert is not None,
+                 "certificate": None if cert is None else to_dict(cert),
+                 "error": error}
+                for parts, cert, error in entries]))
+        elif entries:
+            print(f"d = {d}: {len(entries)} {kind}{'s' if len(entries) != 1 else ''}")
+            for parts, cert, error in entries:
+                shown = "(" + ", ".join(str(p) for p in parts) + ")"
+                if cert is None:
+                    print(f"  {shown}: failed, {error}")
+                    continue
+                gen = f"mu = {cert.mu}" if args.h8 else f"alpha = {_alpha_string(cert)}"
+                print(f"  {shown}: ok, class {cert.galois_class.value}, {gen}")
+            # a reader such as `head` sees each d as soon as it is certified
+            sys.stdout.flush()
+    if args.json:
+        print(json.dumps(scan_report_dict(lo, hi, mode, reports), indent=2))
     return EXIT_OK
 
 

@@ -17,9 +17,8 @@ from math import gcd
 from ._intmath import prime_factors
 from .conic import (DEFAULT_MAX_A, ConicSolution, find_parameter_a,
                     parameter_conditions, solve_system)
-from .errors import (FactorizationRejected, InternalInvariant,
-                     InvalidParameter, NonIntegral, NonNormal)
-from .factorizations import check_h8_split, enumerate_h8
+from .errors import InternalInvariant, InvalidParameter, NonIntegral, NonNormal
+from .factorizations import H8Factorization
 from .field import (BiquadElement, GaloisAction, element, embedding_signs,
                     is_square, is_totally_positive, rational_element)
 from .infinity import InfinityVerdict, infinity_verdict
@@ -153,9 +152,8 @@ def assign_roles(parts: tuple[int, int, int]) -> tuple[int, int, int]:
     return (d1, d2, d3)
 
 
-def normalize_roles(d: int, d1: int, d2: int, d3: int) -> tuple[int, int, int]:
-    """Validate and canonicalize a caller-forced role assignment."""
-    check_h8_split(d, (d1, d2, d3))
+def normalize_roles(d1: int, d2: int, d3: int) -> tuple[int, int, int]:
+    """Canonicalize a caller-forced role assignment of a valid splitting."""
     if d2 < 0:
         d1, d2 = d2, d1
     if (d1 * d2) % 8 == 5:
@@ -395,18 +393,18 @@ def same_extension(mu1: BiquadElement, mu2: BiquadElement, d3: int,
     return None
 
 
-def construct_h8(d: int, *, forced_roles: tuple[int, int, int] | None = None,
+def construct_h8(split: H8Factorization, *,
+                 roles: tuple[int, int, int] | None = None,
                  forced_a: int | None = None,
                  max_a: int = DEFAULT_MAX_A) -> ExtensionCertificate:
-    """End-to-end construction and certification for the discriminant d."""
-    if forced_roles is not None:
-        d1, d2, d3 = normalize_roles(d, *forced_roles)
+    """End-to-end construction and certification for a validated splitting;
+    roles the caller gives must be a permutation of its parts."""
+    if roles is None:
+        d1, d2, d3 = assign_roles(split.parts)
+    elif sorted(roles) != sorted(split.parts):
+        raise InvalidParameter(f"roles {roles} are not the parts {split.parts}")
     else:
-        splits = enumerate_h8(d)
-        if not splits:
-            raise FactorizationRejected(f"{d} admits no quaternion-type splitting")
-        d1, d2, d3 = assign_roles(splits[0].parts)
-    parts = tuple(sorted((d1, d2, d3), key=disc_sort_key))
+        d1, d2, d3 = normalize_roles(*roles)
 
     if forced_a is not None:
         if not parameter_conditions(forced_a, d1, d2):
@@ -420,7 +418,7 @@ def construct_h8(d: int, *, forced_roles: tuple[int, int, int] | None = None,
     try:
         mu_norm, twist = two_primary_normalize(gen.mu, d1, d2)
     except InternalInvariant:
-        if forced_roles is None:
+        if roles is None:
             raise
         # a caller-forced assignment can park the even part in d3 where no
         # rational twist repairs the valuations above 2; that is bad input
@@ -441,7 +439,7 @@ def construct_h8(d: int, *, forced_roles: tuple[int, int, int] | None = None,
     verdict = infinity_verdict(d1, d2, d3)
 
     return ExtensionCertificate(
-        d=d, parts=parts, generator=gen, twist=twist, mu_normalized=mu_norm,
+        d=split.d, parts=split.parts, generator=gen, twist=twist, mu_normalized=mu_norm,
         infinity_twist=inf_twist, mu=mu_final, two_primary=True,
         svector=svector, galois_class=galois_class, alphas=alphas,
         norm_relations=relations, infinity=verdict,

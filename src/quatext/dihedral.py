@@ -16,8 +16,8 @@ from fractions import Fraction
 from .conic import ConicSolution, solve_conic
 from .construct import (_TWISTS, GaloisClass, _primitive_scaling, classify,
                         compute_alpha, two_primary_oracle)
-from .errors import FactorizationRejected, InternalInvariant, QuatextError
-from .factorizations import check_d4_split, enumerate_d4
+from .errors import InternalInvariant, QuatextError
+from .factorizations import D4Factorization, check_d4_split
 from .field import GaloisAction, _rat_sqrt, element
 
 __all__ = [
@@ -56,18 +56,9 @@ def _lift_signs(d1: int, d2: int, alpha: tuple[Fraction, Fraction]) -> tuple[int
                                        ("sigma_tau", GaloisAction.SIGMA_TAU)))
 
 
-def d4_construct(d: int, *,
-                 forced_pair: tuple[int, int] | None = None) -> D4Certificate:
-    """Construct and certify a dihedral generator for the discriminant d."""
-    if forced_pair is not None:
-        d1, d2 = forced_pair
-        check_d4_split(d, d1, d2)
-    else:
-        pairs = enumerate_d4(d)
-        if not pairs:
-            raise FactorizationRejected(f"{d} admits no dihedral-type splitting")
-        d1, d2 = pairs[0].d1, pairs[0].d2
-    d3 = d // (d1 * d2)
+def d4_construct(pair: D4Factorization) -> D4Certificate:
+    """Construct and certify a dihedral generator for a validated pair."""
+    d, d1, d2, d3 = pair.d, pair.d1, pair.d2, pair.d3
 
     sol = solve_conic(1, -d1, -d2)
     if sol.y == 0 or sol.z == 0:

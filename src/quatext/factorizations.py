@@ -1,5 +1,9 @@
 """Admissible splittings of a discriminant into two or three parts.
 
+This module alone decides whether a splitting is valid: the checks and
+the enumerators are the only code that makes an `H8Factorization` or a
+`D4Factorization`, and the constructors take one as it is.
+
 A quaternion splitting d = d1*d2*d3 needs every prime of each part to
 split in the quadratic field cut out by the product of the other two
 parts.  The dihedral variant only constrains two of the parts and allows
@@ -118,8 +122,9 @@ def _canonical(parts: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(parts, key=disc_sort_key))
 
 
-def check_h8_split(d: int, parts: tuple[int, int, int]) -> None:
-    """Raise unless d = d1*d2*d3 satisfies all quaternion symbol conditions."""
+def check_h8_split(d: int, parts: tuple[int, int, int]) -> H8Factorization:
+    """The splitting d = d1*d2*d3, canonically ordered; raise unless it
+    satisfies all quaternion symbol conditions."""
     if len(parts) != 3:
         raise InvalidDiscriminant("a quaternion splitting has exactly three parts")
     for v, ps in zip(parts, _part_primes(d, parts)):
@@ -127,6 +132,7 @@ def check_h8_split(d: int, parts: tuple[int, int, int]) -> None:
     if not at_most_one_negative(parts):
         # the symbol conditions exclude this; reject rather than crash
         raise FactorizationRejected(f"more than one negative part in {parts}")
+    return H8Factorization(d=d, parts=_canonical(parts))  # type: ignore[arg-type]
 
 
 def is_h8_split(d: int, parts: tuple[int, int, int]) -> bool:
@@ -149,8 +155,9 @@ def enumerate_h8(d: int) -> list[H8Factorization]:
     return [H8Factorization(d=d, parts=p) for p in found]  # type: ignore[arg-type]
 
 
-def check_d4_split(d: int, d1: int, d2: int) -> None:
-    """Raise unless (d1, d2) is a dihedral-admissible pair for d."""
+def check_d4_split(d: int, d1: int, d2: int) -> D4Factorization:
+    """The splitting with the pair (d1, d2) in the order given; raise unless
+    the pair is dihedral-admissible for d."""
     if d1 * d2 == 0 or d % (d1 * d2) != 0:
         raise InvalidDiscriminant(f"{d1} * {d2} does not divide {d}")
     d3 = d // (d1 * d2)
@@ -159,6 +166,7 @@ def check_d4_split(d: int, d1: int, d2: int) -> None:
         raise FactorizationRejected(f"both {d1} and {d2} negative")
     _require_residues(d2, d1, primes[0])
     _require_residues(d1, d2, primes[1])
+    return D4Factorization(d=d, d1=d1, d2=d2, d3=d3)
 
 
 def is_d4_split(d: int, d1: int, d2: int) -> bool:

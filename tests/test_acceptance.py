@@ -14,7 +14,7 @@ import pytest
 
 from quatext import (
     GaloisClass,
-    assign_roles,
+    check_h8_split,
     construct_h8,
     d4_construct,
     divisor_twists,
@@ -68,7 +68,7 @@ def h8_sweep():
     out = []
     for d in fundamentals(BOUND):
         for f in enumerate_h8(d):
-            cert = construct_h8(d, forced_roles=assign_roles(f.parts))
+            cert = construct_h8(f)
             out.append((d, f.parts, cert))
     return out
 
@@ -86,7 +86,7 @@ def test_criterion_1_table_reproduction():
     failures = []
     for d, roles, coords in TABLE_ROWS:
         d1, d2, d3 = roles
-        cert = construct_h8(d, forced_roles=roles)
+        cert = construct_h8(check_h8_split(d, roles), roles=roles)
         target = element(d1, d2, *coords)
         if cert.galois_class is not GaloisClass.QUATERNION:
             failures.append((d, "not quaternion class"))
@@ -107,7 +107,8 @@ def test_criterion_1_table_reproduction():
 def test_criterion_2_galois_certification(h8_sweep):
     start = time.perf_counter()
     certs = [cert for _, _, cert in h8_sweep]
-    certs += [construct_h8(d, forced_roles=roles) for d, roles, _ in TABLE_ROWS]
+    certs += [construct_h8(check_h8_split(d, roles), roles=roles)
+              for d, roles, _ in TABLE_ROWS]
     failures = []
     for cert in certs:
         s = cert.svector
@@ -220,7 +221,7 @@ def test_criterion_7_d4_suite():
     for d in fundamentals(BOUND):
         for f in enumerate_d4(d):
             count += 1
-            cert = d4_construct(d, forced_pair=(f.d1, f.d2))
+            cert = d4_construct(f)
             a0, a1 = cert.alpha
             if a0 * a0 - cert.d1 * a1 * a1 != cert.d2 * cert.norm_root ** 2:
                 failures.append((d, (f.d1, f.d2), "norm relation"))
@@ -246,7 +247,7 @@ def test_criterion_8_parameter_independence(h8_sweep):
     for d, cert in chosen:
         g = cert.generator
         other_a = find_parameter_a(g.d1, g.d2, exclude={g.a})
-        second = construct_h8(d, forced_roles=(g.d1, g.d2, g.d3),
+        second = construct_h8(check_h8_split(d, cert.parts), roles=(g.d1, g.d2, g.d3),
                               forced_a=other_a)
         if other_a == g.a:
             failures.append((d, "parameter not excluded"))

@@ -6,13 +6,18 @@ residue class of the base mod 16, by integer arithmetic.  The
 construction bounds are upper bounds, so they hold whatever the
 package's caches already hold."""
 
+from collections import Counter
+
 import pytest
 
 import quatext._intmath
+import quatext.cli
+import quatext.factorizations
 import quatext.field
+import quatext.symbols
 from quatext import (BaseMismatch, BiquadElement, check_d4_split, check_h8_split,
-                     construct_h8, d4_construct, element, is_h8_split,
-                     two_primary_oracle)
+                     construct_h8, d4_construct, element, enumerate_d4,
+                     enumerate_h8, is_h8_split, two_primary_oracle)
 from quatext.cli import main
 from quatext.construct import _squares_mod4
 
@@ -32,13 +37,13 @@ def count_calls(monkeypatch, module, name):
 
 def test_construct_h8_factoring_budget(monkeypatch):
     calls = count_calls(monkeypatch, quatext._intmath, "factorint")
-    construct_h8(520)
+    construct_h8(enumerate_h8(520)[0])
     assert 0 < len(calls) <= 30
 
 
 def test_d4_construct_factoring_budget(monkeypatch):
     calls = count_calls(monkeypatch, quatext._intmath, "factorint")
-    d4_construct(680)
+    d4_construct(enumerate_d4(680)[0])
     assert 0 < len(calls) <= 30
 
 
@@ -84,3 +89,46 @@ def test_square_mod4_test_multiplies_no_field_elements(monkeypatch):
     calls = count_calls(monkeypatch, BiquadElement, "__mul__")
     two_primary_oracle(x)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["--h8", "--d4"])
+def test_scan_takes_each_splitting_as_enumerated(monkeypatch, capsys, mode):
+    """The scan factors each d once, and the constructors never check the
+    splitting they are given: symbols' entry points (is_fundamental,
+    factor_discriminant) see each d at most once outside the constructors,
+    and no part check runs inside them."""
+    depth = [0]
+
+    def nested(name):
+        original = getattr(quatext.cli, name)
+
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(quatext.cli, name, wrapper)
+
+    nested("construct_h8")
+    nested("d4_construct")
+    outside = []
+    inside = []
+    for module, name, record in ((quatext.symbols, "_fundamental_primes", outside),
+                                 (quatext.factorizations, "_part_primes", inside)):
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _record=record):
+            _record.append((depth[0], args))
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    factored = count_calls(monkeypatch, quatext._intmath, "factorint")
+    assert main(["scan", "-2000..2000", mode, "--json"]) == 0
+    capsys.readouterr()
+    scanned = Counter(d for level, (d,) in outside if level == 0)
+    assert scanned and max(scanned.values()) == 1
+    assert [args for level, args in inside if level > 0] == []
+    # 1,827 (--h8) and 3,382 (--d4) calls when every splitting was checked again
+    assert len(factored) <= {"--h8": 1200, "--d4": 2700}[mode]

@@ -1,6 +1,7 @@
 """Command-line driver: output shapes, exit codes, JSON fidelity."""
 
 import importlib.util
+import io
 import json
 import os
 import shutil
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from quatext import construct_h8, d4_construct, d4_verify
+import quatext.cli
+from quatext import (construct_h8, d4_construct, d4_verify, enumerate_d4,
+                     enumerate_h8)
 from quatext.cli import main
 from quatext.serialize import decode_d4cert, decode_h8cert
 
@@ -93,7 +96,7 @@ class TestH8:
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "h8", "--json", "520")
         assert code == 0
-        assert decode_h8cert(json.loads(out)) == construct_h8(520)
+        assert decode_h8cert(json.loads(out)) == construct_h8(enumerate_h8(520)[0])
 
     def test_json_multiple_splits(self, capsys):
         code, out, _ = run(capsys, "h8", "--json", "-1380")
@@ -132,7 +135,7 @@ class TestD4:
         code, out, _ = run(capsys, "d4", "--json", "680")
         assert code == 0
         cert = decode_d4cert(json.loads(out))
-        assert cert == d4_construct(680)
+        assert cert == d4_construct(enumerate_d4(680)[0])
         assert d4_verify(cert)
 
 
@@ -173,6 +176,23 @@ class TestScan:
         assert "d = 520: 1 splitting" in out
         assert "(5, 8, 13): ok, class H8" in out
 
+    def test_text_streams_each_d(self, monkeypatch):
+        """Each d's block is on stdout before the next d is enumerated."""
+        out = io.StringIO()
+        seen = {}
+
+        def enumerate_h8_spy(d):
+            seen[d] = out.getvalue()
+            return enumerate_h8(d)
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(quatext.cli, "enumerate_h8", enumerate_h8_spy)
+        assert main(["scan", "-300..-100", "--h8"]) == 0
+        assert seen[-255] == ""
+        assert seen[-120].startswith("d = -255: 1 splitting\n  (-3, 5, 17): ok")
+        assert "-120" not in seen[-120]
+        assert out.getvalue().startswith(seen[-120])
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "scan", "-300..-100", "--h8")
         _, second, _ = run(capsys, "scan", "-300..-100", "--h8")
@@ -187,7 +207,7 @@ class TestScan:
         assert [r["d"] for r in doc["reports"]] == ["520"]
         entry = doc["reports"][0]["entries"][0]
         assert entry["ok"] is True and entry["error"] is None
-        assert decode_h8cert(entry["certificate"]) == construct_h8(520)
+        assert decode_h8cert(entry["certificate"]) == construct_h8(enumerate_h8(520)[0])
 
     def test_json_d4_decodes(self, capsys):
         code, out, _ = run(capsys, "scan", "100..200", "--d4", "--json")

@@ -7,7 +7,6 @@ from math import gcd
 import pytest
 
 from quatext import (
-    FactorizationRejected,
     GaloisClass,
     InternalInvariant,
     InvalidParameter,
@@ -15,6 +14,7 @@ from quatext import (
     assign_roles,
     build_mu,
     certify_generator,
+    check_h8_split,
     check_norm_relations,
     classify,
     construct_h8,
@@ -69,16 +69,12 @@ class TestAssignRoles:
 
 class TestNormalizeRoles:
     def test_accepts_and_swaps(self):
-        assert normalize_roles(520, 5, 8, 13) == (5, 8, 13)
-        assert normalize_roles(-255, 5, -3, 17) == (-3, 5, 17)
+        assert normalize_roles(5, 8, 13) == (5, 8, 13)
+        assert normalize_roles(5, -3, 17) == (-3, 5, 17)
 
     def test_rejects_bad_pair_congruence(self):
         with pytest.raises(InvalidParameter, match=r"5 \(mod 8\)"):
-            normalize_roles(-455, -7, 5, 13)
-
-    def test_rejects_invalid_split(self):
-        with pytest.raises(FactorizationRejected):
-            normalize_roles(-340, -4, 5, 17)
+            normalize_roles(-7, 5, 13)
 
 
 class TestBuildMu:
@@ -101,9 +97,9 @@ class TestBuildMu:
 
     def test_rejects_parameter_violating_symbols(self):
         with pytest.raises(InvalidParameter, match="parameter 3 fails"):
-            construct_h8(520, forced_a=3)
+            construct_h8(enumerate_h8(520)[0], forced_a=3)
         with pytest.raises(InvalidParameter):
-            construct_h8(520, forced_a=2)
+            construct_h8(enumerate_h8(520)[0], forced_a=2)
 
 
 class TestTwoPrimary:
@@ -146,10 +142,10 @@ class TestTwoPrimary:
                 assert _squares_mod4(m % 16, n % 16) == squares_mod4_ref(m, n), (m, n)
 
     def test_normalize_labels(self):
-        c = construct_h8(520)
+        c = construct_h8(enumerate_h8(520)[0])
         out, label = two_primary_normalize(c.generator.mu, 5, 8)
         assert label == "none" and out == c.generator.mu
-        c = construct_h8(1480)
+        c = construct_h8(enumerate_h8(1480)[0])
         out, label = two_primary_normalize(c.generator.mu, 5, 8)
         assert label == "negate" and out == -c.generator.mu
         assert two_primary_oracle(out)
@@ -157,7 +153,7 @@ class TestTwoPrimary:
 
 class TestCertification:
     def test_golden_svector_and_relations(self):
-        c = construct_h8(520)
+        c = construct_h8(enumerate_h8(520)[0])
         svector, alphas = certify_generator(c.mu, 13)
         assert (svector.psi1, svector.psi2, svector.psi3, svector.rho) == (-1, -1, -1, -1)
         assert [a.label for a in alphas] == ["psi1", "psi2", "psi3", "rho"]
@@ -166,7 +162,7 @@ class TestCertification:
             ("psi1", "13"), ("psi2", "13"), ("psi3", "1"), ("rho", "1"))
 
     def test_tampered_generator_is_rejected(self):
-        c = construct_h8(520)
+        c = construct_h8(enumerate_h8(520)[0])
         with pytest.raises(NonNormal, match="different square class"):
             certify_generator(c.mu + 4, 13)
 
@@ -193,8 +189,8 @@ class TestSquareClassTools:
         assert not k_square_class_equal(rational_element(5, 8, 3), 13)
 
     def test_construction_is_parameter_independent(self):
-        base = construct_h8(520)
-        other = construct_h8(520, forced_a=31)
+        base = construct_h8(enumerate_h8(520)[0])
+        other = construct_h8(enumerate_h8(520)[0], forced_a=31)
         assert other.generator.a == 31
         assert other.mu == element(5, 8, 29, 6, 4, 3)
         assert same_extension(base.mu, other.mu, 13, divisor_twists(520)) == 1
@@ -203,7 +199,7 @@ class TestSquareClassTools:
 
 class TestConstructH8:
     def test_golden_certificate(self):
-        c = construct_h8(520)
+        c = construct_h8(enumerate_h8(520)[0])
         assert c.d == 520 and c.parts == (5, 8, 13)
         assert c.roles == (5, 8, 13)
         assert c.generator.a == 1
@@ -214,38 +210,39 @@ class TestConstructH8:
         assert c.infinity.applicable and c.infinity.lhs == -1 and c.infinity.rhs == -1
 
     def test_negative_discriminant_certificate(self):
-        c = construct_h8(-255)
+        c = construct_h8(enumerate_h8(-255)[0])
         assert c.roles == (-3, 5, 17)
         assert c.mu == element(-3, 5, Fraction(5, 2), 1, Fraction(1, 2), 1)
         assert c.infinity.applicable is False
         assert c.totally_positive is None
 
     def test_forced_roles_and_default_agree(self):
-        default = construct_h8(-1380)
-        forced = construct_h8(-1380, forced_roles=(5, 92, -3))
+        default = construct_h8(enumerate_h8(-1380)[0])
+        forced = construct_h8(check_h8_split(-1380, (5, 92, -3)), roles=(5, 92, -3))
         assert default.roles == forced.roles == (5, 92, -3)
         assert default.mu == forced.mu
 
     def test_forced_even_complement_can_work(self):
-        c = construct_h8(-1380, forced_roles=(5, 69, -4))
+        c = construct_h8(check_h8_split(-1380, (5, 69, -4)), roles=(5, 69, -4))
         assert c.roles == (5, 69, -4)
         assert c.galois_class is GaloisClass.QUATERNION
         assert two_primary_oracle(c.mu)
 
     def test_forced_even_complement_can_be_impossible(self):
         with pytest.raises(InvalidParameter, match="no generator congruent"):
-            construct_h8(-1380, forced_roles=(-3, 5, 92))
+            construct_h8(check_h8_split(-1380, (-3, 5, 92)), roles=(-3, 5, 92))
 
-    def test_no_splitting(self):
-        with pytest.raises(FactorizationRejected, match="no quaternion-type splitting"):
-            construct_h8(40)
+    def test_roles_must_be_the_parts(self):
+        split = check_h8_split(-1380, (-3, 5, 92))
+        with pytest.raises(InvalidParameter, match="are not the parts"):
+            construct_h8(split, roles=(5, 69, -4))
 
     def test_sweep_certificates_are_quaternion(self):
         for d in range(-800, 801):
             if not fundamental_ref(d):
                 continue
             for f in enumerate_h8(d):
-                c = construct_h8(d, forced_roles=assign_roles(f.parts))
+                c = construct_h8(f)
                 s = c.svector
                 assert (s.psi1, s.psi2, s.psi3) == (-1, -1, -1), (d, f.parts)
                 assert s.rho == -1

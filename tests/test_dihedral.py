@@ -7,8 +7,8 @@ import pytest
 
 from quatext import (
     D4Certificate,
-    FactorizationRejected,
     GaloisClass,
+    check_d4_split,
     d4_construct,
     d4_verify,
     enumerate_d4,
@@ -18,7 +18,7 @@ from oracles import fundamental_ref
 
 class TestD4Construct:
     def test_golden_certificate(self):
-        c = d4_construct(680)
+        c = d4_construct(enumerate_d4(680)[0])
         assert (c.d1, c.d2, c.d3) == (8, 17, 5)
         assert c.solution.as_tuple() == (5, 1, 1)
         assert c.alpha_raw == (5, 1) and c.scaling == 1
@@ -30,28 +30,22 @@ class TestD4Construct:
         assert not c.degenerate and c.two_primary
 
     def test_degenerate_complement(self):
-        c = d4_construct(136)
+        c = d4_construct(enumerate_d4(136)[0])
         assert (c.d1, c.d2, c.d3) == (8, 17, 1)
         assert c.degenerate
         assert c.alpha == (Fraction(-5), Fraction(-1))
 
     def test_forced_pair_order_respected(self):
-        c = d4_construct(680, forced_pair=(17, 8))
+        c = d4_construct(check_d4_split(680, 17, 8))
         assert (c.d1, c.d2) == (17, 8)
         assert d4_verify(c)
-
-    def test_no_splitting(self):
-        with pytest.raises(FactorizationRejected, match="no dihedral-type splitting"):
-            d4_construct(40)
-        with pytest.raises(FactorizationRejected):
-            d4_construct(520)
 
     def test_sweep_invariants(self):
         for d in range(-600, 601):
             if not fundamental_ref(d):
                 continue
             for f in enumerate_d4(d):
-                c = d4_construct(d, forced_pair=(f.d1, f.d2))
+                c = d4_construct(f)
                 a0, a1 = c.alpha
                 assert a0 * a0 - c.d1 * a1 * a1 == c.d2 * c.norm_root * c.norm_root
                 assert sorted(c.svector) == [-1, 1, 1]
@@ -63,15 +57,15 @@ class TestD4Construct:
 
 class TestD4Verify:
     def test_valid_certificate(self):
-        assert d4_verify(d4_construct(680))
+        assert d4_verify(d4_construct(enumerate_d4(680)[0]))
 
     def test_tampered_alpha_fails_norm_relation(self):
-        c = d4_construct(680)
+        c = d4_construct(enumerate_d4(680)[0])
         bad = dataclasses.replace(c, alpha=(c.alpha[0] * c.d1, c.alpha[1] * c.d1))
         assert not d4_verify(bad)
 
     def test_tampered_fields_fail(self):
-        c = d4_construct(680)
+        c = d4_construct(enumerate_d4(680)[0])
         assert not d4_verify(dataclasses.replace(c, svector=(1, -1, -1)))
         assert not d4_verify(dataclasses.replace(c, norm_root=Fraction(2)))
         assert not d4_verify(dataclasses.replace(c, norm_root=-c.norm_root))
@@ -88,6 +82,6 @@ class TestD4Verify:
             scaling=2 * c.scaling)) is False
 
     def test_certificate_is_frozen(self):
-        c = d4_construct(680)
+        c = d4_construct(enumerate_d4(680)[0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.alpha = (Fraction(1), Fraction(0))

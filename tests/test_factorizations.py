@@ -128,6 +128,11 @@ class TestCheckH8Split:
         check_h8_split(-1380, (-3, 5, 92))
         check_h8_split(-1380, (-4, 5, 69))
 
+    def test_returns_the_canonical_splitting(self):
+        for parts in permutations((-4, 5, 69)):
+            assert check_h8_split(-1380, parts) == H8Factorization(-1380, (-4, 5, 69))
+        assert check_h8_split(520, (13, 5, 8)) == enumerate_h8(520)[0]
+
     def test_symbol_failure_carries_context(self):
         with pytest.raises(FactorizationRejected, match=r"\(85/2\) != 1 for prime 2 of part -4") as exc:
             check_h8_split(-340, (-4, 5, 17))
@@ -194,6 +199,11 @@ class TestCheckD4Split:
         check_d4_split(680, 17, 8)
         check_d4_split(136, 8, 17)
         check_d4_split(205, 5, 41)
+
+    def test_returns_the_pair_in_the_order_given(self):
+        assert check_d4_split(680, 17, 8) == D4Factorization(680, 17, 8, 5)
+        assert check_d4_split(680, 8, 17) == enumerate_d4(680)[0]
+        assert check_d4_split(136, 8, 17).d3 == 1
 
     def test_symbol_failure(self):
         with pytest.raises(FactorizationRejected, match=r"\(8/5\) != 1 for prime 5"):

@@ -37,6 +37,33 @@ FROZEN = [
      "057a2c147c5e4494d3e7703453d25aff5723f444cac40d28b6f43288498be1eb"),
     ("scan -3000..3000 --h8 --max-a 2 --json",
      "f15d9612e507bbc79ca253972adbe3236ed1f9e0412a2b34d92f88bff85799c6"),
+    # caller-forced roles, parameter and pair
+    ("h8 -1380 --d1 5 --d2 69 --d3 -4 --json",
+     "cbc9f98cd95a5fa1b159b0d41944c62dbd66ba23e128fc8fb2d40307df8cb24d"),
+    ("h8 520 --d1 5 --d2 8 --d3 13 --a 31 --json",
+     "06d48b47cbeae0cd76490a617ff547667c350a3efcdd5f2cd19698e2236edbdd"),
+    ("d4 680 --d1 17 --d2 8 --json",
+     "25c3d4a3454079b35e33b6152f35ccec927daf8604d195aff35d6a4a8f41580a"),
+]
+
+# Rejected inputs: the exit code and the one line on stderr.
+REJECTED = [
+    ("h8 -340 --d1 -4 --d2 5 --d3 17", 1,
+     "(85/2) != 1 for prime 2 of part -4"),
+    ("h8 -1380 --d1 -3 --d2 5 --d3 92", 2,
+     "role assignment (-3, 5, 92) admits no generator congruent to a square "
+     "mod 4; let the builder assign roles instead"),
+    ("h8 -455 --d1 -7 --d2 5 --d3 13", 2,
+     "pair (-7, 5) has product = 5 (mod 8); no twist of the generator is "
+     "congruent to a square mod 4 for this role choice"),
+    ("h8 520 --d1 5 --d2 8 --d3 14", 2,
+     "part 14 is not a fundamental discriminant"),
+    ("d4 680 --d1 8 --d2 34", 2, "8 * 34 does not divide 680"),
+    ("d4 520 --d1 5 --d2 8", 1, "(8/5) != 1 for prime 5 of part 5"),
+    ("h8 40", 1,
+     "no H8-factorization: d = 40 = 5 · 8 has 2 prime discriminant factor(s); "
+     "three nontrivial coprime parts are required"),
+    ("d4 40", 1, "no D4-factorization: no admissible pair of parts for d = 40"),
 ]
 
 
@@ -45,3 +72,12 @@ def test_output_is_frozen(capsys, args, digest):
     assert main(args.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, code, message", REJECTED,
+                         ids=[a for a, _, _ in REJECTED])
+def test_rejection_is_frozen(capsys, args, code, message):
+    assert main(args.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

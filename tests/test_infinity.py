@@ -66,7 +66,7 @@ class TestEndToEnd:
                 v = infinity_verdict(*roles)
                 if not v.applicable:
                     continue
-                cert = construct_h8(d, forced_roles=roles)
+                cert = construct_h8(f)
                 assert v.totally_real == is_totally_positive(cert.mu), (d, roles)
                 assert cert.totally_positive == v.totally_real
                 seen.append((d, v.lhs, v.rhs))
@@ -74,6 +74,6 @@ class TestEndToEnd:
         assert (1480, 1, -1) in seen
 
     def test_inapplicable_certificates_carry_no_claim(self):
-        cert = construct_h8(-255)
+        cert = construct_h8(enumerate_h8(-255)[0])
         assert cert.infinity == InfinityVerdict.not_applicable()
         assert cert.totally_positive is None

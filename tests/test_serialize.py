@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quatext import construct_h8, d4_construct, d4_verify, element
+from quatext import (construct_h8, d4_construct, d4_verify, element,
+                     enumerate_d4, enumerate_h8)
 from quatext.serialize import (
     d4cert_dict,
     decode_d4cert,
@@ -50,7 +51,7 @@ class TestDocuments:
                        "parts": ["-3", "5", "17"]}
 
     def test_h8_schema_fields(self):
-        doc = h8cert_dict(construct_h8(520))
+        doc = h8cert_dict(construct_h8(enumerate_h8(520)[0]))
         assert doc["schema"] == "h8cert/1"
         assert doc["d"] == "520"
         assert doc["roles"] == {"d1": "5", "d2": "8", "d3": "13"}
@@ -65,18 +66,18 @@ class TestDocuments:
 
     def test_h8_round_trip(self):
         for d in (520, -255, 1480, -120):
-            cert = construct_h8(d)
+            cert = construct_h8(enumerate_h8(d)[0])
             wire = json.loads(json.dumps(h8cert_dict(cert)))
             assert decode_h8cert(wire) == cert
 
     def test_h8_rejects_wrong_schema(self):
-        doc = h8cert_dict(construct_h8(520))
+        doc = h8cert_dict(construct_h8(enumerate_h8(520)[0]))
         doc["schema"] = "h8cert/2"
         with pytest.raises(ValueError, match="unexpected schema"):
             decode_h8cert(doc)
 
     def test_d4_schema_fields(self):
-        doc = d4cert_dict(d4_construct(680))
+        doc = d4cert_dict(d4_construct(enumerate_d4(680)[0]))
         assert doc["schema"] == "d4cert/1"
         assert doc["conic"] == {"coefficients": ["1", "-8", "-17"],
                                 "point": ["5", "1", "1"]}
@@ -88,7 +89,7 @@ class TestDocuments:
 
     def test_d4_round_trip(self):
         for d in (680, 136, 205):
-            cert = d4_construct(d)
+            cert = d4_construct(enumerate_d4(d)[0])
             wire = json.loads(json.dumps(d4cert_dict(cert)))
             back = decode_d4cert(wire)
             assert back == cert
