@@ -42,7 +42,13 @@ def is_prime(n: int) -> bool:
     return bool(isprime(n))
 
 
-def sqrt_modulo(a: int, p: int) -> int | None:
-    """A square root of a mod p (p prime), or None if a is not a residue."""
-    r = sqrt_mod(a, p)
+def sqrt_modulo(a: int, n: int) -> int | None:
+    """A square root of a mod n, or None if a is not a square mod n.
+
+    n need not be prime: the conic descent passes the squarefree |a| of
+    its leading coefficient.  sympy then factors n with its own factorint,
+    which the wrapper above does not see, so that factoring goes
+    uncounted wherever factorint calls are counted.
+    """
+    r = sqrt_mod(a, n)
     return None if r is None else int(r)

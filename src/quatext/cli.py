@@ -327,11 +327,23 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _parameter_bound(text: str) -> int:
+    """A --max-a value: an integer of at least 1, since no candidate
+    parameter lies below 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, *, max_a: bool = True) -> None:
     sub.add_argument("--json", action="store_true",
                      help="emit JSON instead of text")
     if max_a:
-        sub.add_argument("--max-a", type=int, default=DEFAULT_MAX_A,
+        sub.add_argument("--max-a", type=_parameter_bound, default=DEFAULT_MAX_A,
                          metavar="BOUND", help="largest auxiliary parameter tried")
 
 

@@ -19,7 +19,8 @@ from math import gcd, isqrt
 from typing import Iterator
 
 from ._intmath import is_prime, prime_factors, sqrt_modulo, square_part
-from .errors import InternalInvariant, LocalObstruction, SearchExhausted
+from .errors import (InternalInvariant, InvalidParameter, LocalObstruction,
+                     SearchExhausted)
 from .symbols import factor_discriminant, kronecker
 
 __all__ = [
@@ -272,6 +273,8 @@ def parameter_conditions(a: int, d1: int, d2: int) -> bool:
 
 def find_parameter_a(d1: int, d2: int, *, max_a: int = DEFAULT_MAX_A,
                      exclude: frozenset[int] | set[int] = frozenset()) -> int:
+    if max_a < 1:
+        raise InvalidParameter(f"parameter bound must be at least 1, got {max_a}")
     for a in parameter_candidates():
         if a > max_a:
             break

@@ -2,8 +2,9 @@
 
 Elements are rational linear combinations of 1, sqrt(m), sqrt(n),
 sqrt(m*n) for two coprime fundamental discriminants m, n.  Everything is
-Fraction-exact: products, inverses, Galois conjugates, square roots,
-integrality against the maximal order, and real embedding signs.
+exact: products, Galois conjugates, square roots, integrality against the
+maximal order and real embedding signs in Fraction arithmetic, inverses
+in integer arithmetic over one common denominator.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import BaseMismatch, InternalInvariant
 from .symbols import is_fundamental
@@ -144,14 +145,32 @@ class BiquadElement:
     __rmul__ = __mul__
 
     def inv(self) -> "BiquadElement":
+        """The inverse, by one integer pass through the tower of norms.
+
+        With x = a/D for integer coordinates a = (a0, a1, a2, a3), the
+        relative norm to Q(sqrt m) is x*sigma(x) = P/D^2 with
+        P = p0 + p1*sqrt(m), and the norm of a is N = p0^2 - m*p1^2, so
+        x^-1 = D*sigma(a)*tau(P)/N: four integer coordinates over one
+        denominator, reduced once each.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        partial = self * self.apply(GaloisAction.SIGMA)        # lands in Q(sqrt m)
-        norm = partial * partial.apply(GaloisAction.TAU)       # lands in Q
-        value = norm.rational_value()
-        if value == 0:
+        m, n = self.m, self.n
+        D = lcm(*(c.denominator for c in self.coords))
+        a0, a1, a2, a3 = (c.numerator * (D // c.denominator) for c in self.coords)
+        p0 = a0 * a0 + m * a1 * a1 - n * (a2 * a2 + m * a3 * a3)
+        p1 = 2 * (a0 * a1 - n * a2 * a3)
+        norm = p0 * p0 - m * p1 * p1
+        if norm == 0:
             raise InternalInvariant("vanishing norm of a nonzero element")
-        return self.apply(GaloisAction.SIGMA) * partial.apply(GaloisAction.TAU) * (1 / value)
+        # sigma(a) = a0 + a1*sqrt(m) - a2*sqrt(n) - a3*sqrt(mn)
+        # times tau(P) = p0 - p1*sqrt(m)
+        return BiquadElement(m, n, (
+            Fraction(D * (a0 * p0 - m * a1 * p1), norm),
+            Fraction(D * (a1 * p0 - a0 * p1), norm),
+            Fraction(D * (m * a3 * p1 - a2 * p0), norm),
+            Fraction(D * (a2 * p1 - a3 * p0), norm),
+        ))
 
     def __truediv__(self, other: "BiquadElement | Rational") -> "BiquadElement":
         if isinstance(other, (int, Fraction)):

@@ -168,6 +168,24 @@ def _biquad_mul(m: int, n: int, a, b):
             a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
 
 
+def inv_ref(m: int, n: int, coords):
+    """Inverse in Q(sqrt(m), sqrt(n)) through the tower of norms, in
+    Fraction arithmetic: with s the conjugate flipping sqrt(n) and t the
+    one flipping sqrt(m), x*s(x) lies in Q(sqrt m), its norm N(x) in Q,
+    and x^-1 = s(x)*t(x*s(x))/N(x)."""
+    def sigma(v):
+        return (v[0], v[1], -v[2], -v[3])
+
+    def tau(v):
+        return (v[0], -v[1], v[2], -v[3])
+
+    x = tuple(Fraction(c) for c in coords)
+    partial = _biquad_mul(m, n, x, sigma(x))
+    norm = _biquad_mul(m, n, partial, tau(partial))
+    assert norm[1:] == (0, 0, 0) and norm[0] != 0
+    return tuple(c / norm[0] for c in _biquad_mul(m, n, sigma(x), tau(partial)))
+
+
 def squares_mod4_ref(m: int, n: int) -> frozenset[tuple[int, int, int, int]]:
     """Coordinates mod 4, over the integral basis 1, w1, w2, w1*w2 with
     w1 = (m + sqrt m)/2 and w2 = (n + sqrt n)/2, of the squares of the 16

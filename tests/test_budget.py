@@ -1,12 +1,14 @@
 """Bounds on repeated work: a construction factors each discriminant a
 bounded number of times, a splitting check factors only the parts whose
 odd part is composite and never d, a field base is checked once, not on
-every arithmetic result, and the squares mod 4 are tabulated once per
-residue class of the base mod 16, by integer arithmetic.  The
-construction bounds are upper bounds, so they hold whatever the
-package's caches already hold."""
+every arithmetic result, the squares mod 4 are tabulated once per
+residue class of the base mod 16, by integer arithmetic, and an inverse
+makes no element product.  The construction bounds are upper bounds, so
+they hold whatever the package's caches already hold."""
 
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +91,30 @@ def test_square_mod4_test_multiplies_no_field_elements(monkeypatch):
     calls = count_calls(monkeypatch, BiquadElement, "__mul__")
     two_primary_oracle(x)
     assert calls == []
+
+
+def test_inverse_multiplies_no_field_elements(monkeypatch):
+    x = element(-7, 13, Fraction(3, 2), 1, -2, Fraction(5, 3))
+    muls = count_calls(monkeypatch, BiquadElement, "__mul__")
+    applies = count_calls(monkeypatch, BiquadElement, "apply")
+    assert x * x.inv() == element(-7, 13, 1)
+    assert len(muls) == 1 and applies == []
+
+
+def test_d4_construct_reaches_the_field_operations_the_bench_traces(monkeypatch):
+    """The bench trace's field layer wraps __mul__, __rmul__ and inv in
+    BiquadElement's own namespace, and is_square wherever a quatext module
+    holds it; one D4 construction calls both inv and is_square through
+    those names, so the layer's metrics read something."""
+    assert {"__mul__", "__rmul__", "inv"} <= set(vars(BiquadElement))
+    factorization = enumerate_d4(680)[0]
+    inverses = count_calls(monkeypatch, BiquadElement, "inv")
+    holders = [module for name, module in sys.modules.items()
+               if name.startswith("quatext")
+               and vars(module).get("is_square") is quatext.field.is_square]
+    squares = [count_calls(monkeypatch, module, "is_square") for module in holders]
+    d4_construct(factorization)
+    assert inverses and any(squares)
 
 
 @pytest.mark.parametrize("mode", ["--h8", "--d4"])

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import quatext.cli
+import quatext.conic
 from quatext import (construct_h8, d4_construct, d4_verify, enumerate_d4,
                      enumerate_h8)
 from quatext.cli import main
@@ -159,10 +160,27 @@ class TestTable2:
         assert len(doc["rows"]) == 9
         assert all(row["pass"] for row in doc["rows"])
 
-    def test_starved_search_reports_failure(self, capsys):
-        code, out, _ = run(capsys, "table2", "--max-a", "0")
+    def test_starved_search_reports_failure(self, capsys, monkeypatch):
+        # --max-a is at least 1 and a = 1 fits every golden row, so the
+        # search is starved by letting no candidate fit
+        monkeypatch.setattr(quatext.conic, "parameter_conditions", lambda a, d1, d2: False)
+        code, out, _ = run(capsys, "table2", "--max-a", "20")
         assert code == 3
         assert "FAIL" in out and "FAILURES above" in out
+
+
+@pytest.mark.parametrize("argv", [["h8", "520"], ["table2"], ["scan", "500..530", "--h8"]])
+@pytest.mark.parametrize("bound", ["0", "-5", "x"])
+def test_parameter_bound_below_one_rejected_before_any_construction(
+        capsys, monkeypatch, argv, bound):
+    def no_construction(*args, **kwargs):
+        raise AssertionError("a construction ran")
+
+    monkeypatch.setattr(quatext.cli, "construct_h8", no_construction)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-a", bound])
+    assert exc.value.code == 2
+    assert "--max-a" in capsys.readouterr().err
 
 
 class TestScan:

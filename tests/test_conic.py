@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quatext import (
     ConicSolution,
+    InvalidParameter,
     LocalObstruction,
     SearchExhausted,
     find_parameter_a,
@@ -170,6 +171,11 @@ class TestParameterSearch:
         assert not parameter_conditions(3, 5, 8)    # (5/3) = -1
         assert not parameter_conditions(11, 5, 8)   # (8/11) = -1
         assert parameter_conditions(31, 5, 8)
+
+    @pytest.mark.parametrize("bound", [0, -1, -100])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(InvalidParameter, match="at least 1"):
+            find_parameter_a(5, 8, max_a=bound)
 
     def test_exhaustion(self):
         with pytest.raises(SearchExhausted, match="no parameter up to 20"):

@@ -20,10 +20,17 @@ from quatext import (
     square_class_equal,
 )
 from quatext.field import from_integral_coords
-from oracles import embedding_sign_float
+from oracles import embedding_sign_float, inv_ref
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 coords4 = st.tuples(rationals, rationals, rationals, rationals)
+big_rationals = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                          st.sampled_from([1, 2, 3, 4, 6, 35, 10 ** 12 + 39]))
+big_coords4 = st.tuples(*(st.one_of(st.just(Fraction(0)), big_rationals)
+                          for _ in range(4)))
+# 2-power parts -4, 8 and -8, and odd parts of both signs
+inverse_bases = st.sampled_from([(5, 8), (-4, 5), (-8, 5), (8, -3), (-3, 5),
+                                 (-7, 13), (-4, -15), (-8, 13), (-3, 17)])
 
 
 def elt(c):
@@ -77,6 +84,16 @@ class TestRingArithmetic:
         assume(not x.is_zero())
         assert x * x.inv() == rational_element(5, 8, 1)
         assert x / x == rational_element(5, 8, 1)
+
+    @settings(max_examples=200)
+    @given(inverse_bases, big_coords4, big_coords4)
+    def test_inverse_matches_the_norm_tower(self, base, a, b):
+        m, n = base
+        x, y = element(m, n, *a), element(m, n, *b)
+        assume(not x.is_zero() and not y.is_zero())
+        assert x.inv().coords == inv_ref(m, n, a)
+        assert x * x.inv() == rational_element(m, n, 1)
+        assert x / y == x * y.inv()
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
