@@ -6,8 +6,8 @@ tests the symbol conditions for the two admissible splitting types, solves
 the attached ternary conics in integers, assembles a generator in a
 biquadratic field, normalizes it to a 2-primary algebraic integer, and
 certifies the Galois structure of the resulting octic extension by exact
-square-root extractions.  Everything is exact rational arithmetic; there
-are no floating-point tolerances anywhere.
+checks of the square roots the construction states.  Everything is exact
+rational arithmetic; there are no floating-point tolerances anywhere.
 """
 
 from .conic import (ConicSolution, find_parameter_a, parameter_candidates,
@@ -29,9 +29,8 @@ from .factorizations import (D4Factorization, H8Factorization,
                              check_h8_split, enumerate_d4, enumerate_h8,
                              is_d4_split, is_h8_split)
 from .field import (BiquadElement, GaloisAction, element, embedding_signs,
-                    from_integral_coords, is_square, is_totally_positive,
-                    quad_sign, rational_element, real_embedding_sign,
-                    square_class_equal)
+                    is_square, is_totally_positive, quad_sign,
+                    rational_element, real_embedding_sign)
 from .infinity import InfinityVerdict, infinity_verdict
 from .symbols import (DiscriminantFactorization, disc_sort_key,
                       factor_discriminant, is_fundamental, kronecker,
@@ -55,8 +54,7 @@ __all__ = [
     "find_parameter_a", "parameter_conditions", "parameter_candidates",
     # the biquadratic field
     "BiquadElement", "GaloisAction", "element", "rational_element",
-    "from_integral_coords", "is_square", "square_class_equal",
-    "quad_sign", "real_embedding_sign", "embedding_signs",
+    "is_square", "quad_sign", "real_embedding_sign", "embedding_signs",
     "is_totally_positive",
     # construction and certification
     "GaloisClass", "MuGenerator", "AlphaRoot", "SVector",

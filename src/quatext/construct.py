@@ -4,7 +4,8 @@ Pipeline: assign the two construction roles among the three parts, find
 the auxiliary odd parameter, solve the three coupled conics, multiply the
 three partial generators, scale to a primitive algebraic integer, twist
 until congruent to a square mod 4, fix signs at infinity when possible,
-and finally certify the Galois structure by exact square-root extractions.
+and finally certify the Galois structure from the square roots that the
+conic points state.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .conic import (DEFAULT_MAX_A, ConicSolution, find_parameter_a,
                     parameter_conditions, solve_system)
 from .errors import InternalInvariant, InvalidParameter, NonIntegral, NonNormal
 from .factorizations import H8Factorization
-from .field import (BiquadElement, GaloisAction, element, embedding_signs,
-                    is_square, is_totally_positive, rational_element)
+from .field import (BiquadElement, GaloisAction, _canon_element, element,
+                    embedding_signs, is_square, is_totally_positive,
+                    rational_element)
 from .infinity import InfinityVerdict, infinity_verdict
 from .symbols import disc_sort_key, factor_discriminant
 
@@ -81,7 +83,7 @@ class AlphaRoot:
     action: GaloisAction      # restriction to the biquadratic field
     epsilon: int              # sign on the third square root
     exponent: int             # 0: mu^(1-g) is a square; 1: d3 times a square
-    h: BiquadElement          # the extracted square root
+    h: BiquadElement          # the stated square root, sign-canonical
     sign: int                 # +1: the lift squares to 1; -1: order four
 
 
@@ -271,18 +273,15 @@ _LIFTS = (
 
 
 def compute_alpha(mu: BiquadElement, label: str, action: GaloisAction,
-                  epsilon: int, d3: int | None) -> AlphaRoot:
-    """Extract the square root certifying that `action` lifts, plus the
-    +-1 telling whether the lift has order four."""
-    w = mu * mu.apply(action).inv()
-    h = is_square(w)
-    exponent = 0
-    if h is None and d3 is not None:
-        h = is_square(w / d3)
-        exponent = 1
-    if h is None:
+                  epsilon: int, d3: int | None, h: BiquadElement,
+                  exponent: int) -> AlphaRoot:
+    """Certify that `action` lifts from the stated root h of mu^(1-g),
+    mu = h^2 * g(mu) * d3^exponent, and read off the +-1 telling whether
+    the lift has order four."""
+    if h * h * mu.apply(action) * (d3 if exponent else 1) != mu:
         raise NonNormal(f"{label}: conjugate generator is in a different square class",
                         action=label)
+    h = _canon_element(h)
     hh = (h * h.apply(action)).rational_value()
     sign = hh if exponent == 0 else epsilon * d3 * hh
     if sign not in (1, -1):
@@ -291,9 +290,19 @@ def compute_alpha(mu: BiquadElement, label: str, action: GaloisAction,
                      exponent=exponent, h=h, sign=int(sign))
 
 
-def certify_generator(mu: BiquadElement, d3: int | None) -> tuple[SVector, tuple[AlphaRoot, ...]]:
-    alphas = tuple(compute_alpha(mu, label, action, eps, d3)
-                   for label, action, eps in _LIFTS)
+def certify_generator(mu: BiquadElement,
+                      gen: MuGenerator) -> tuple[SVector, tuple[AlphaRoot, ...]]:
+    """The four lifts of mu, a rational multiple of gen.mu_raw, from the
+    roots the conics state: beta*sigma(beta) = -a*d3*z1^2, gamma*tau(gamma)
+    = a*z2^2 and delta*sigma(delta) = -a*z3^2, where sigma fixes gamma, tau
+    fixes delta and sigma*tau negates beta; rational factors of mu cancel."""
+    a, d3 = gen.a, gen.d3
+    z1, z2, z3 = gen.sol1.z, gen.sol2.z, gen.sol3.z
+    both = gen.gamma * gen.delta / (a * z2 * z3)
+    roots = ((gen.beta * gen.delta / (a * d3 * z1 * z3), 1),
+             (gen.beta * gen.gamma / (a * d3 * z1 * z2), 1), (both, 0), (both, 0))
+    alphas = tuple(compute_alpha(mu, label, action, eps, d3, h, exponent)
+                   for (label, action, eps), (h, exponent) in zip(_LIFTS, roots))
     svector = SVector(psi1=alphas[0].sign, psi2=alphas[1].sign,
                       psi3=alphas[2].sign, rho=alphas[3].sign)
     return svector, alphas
@@ -429,7 +438,7 @@ def construct_h8(split: H8Factorization, *,
     if not two_primary_oracle(mu_final):
         raise InternalInvariant("final generator lost congruence to a square mod 4")
 
-    svector, alphas = certify_generator(mu_final, d3)
+    svector, alphas = certify_generator(mu_final, gen)
     galois_class = classify(svector.as_tuple())
     if galois_class is not GaloisClass.QUATERNION:
         raise InternalInvariant(f"constructed class {galois_class.value}, not the quaternion one")

@@ -3,8 +3,9 @@
 For an admissible pair (d1, d2) the conic x^2 - d1*y^2 = d2*z^2 has a
 point, and alpha = x + y*sqrt(d1), scaled primitive and twisted until
 congruent to a square mod 4 in the biquadratic order, generates the
-quadratic step whose closure over Q is dihedral of order eight.  The
-lift-sign machinery is shared with the quaternion branch; here the
+quadratic step whose closure over Q is dihedral of order eight.  Each
+lift is certified as in the quaternion branch, by `compute_alpha` on a
+stated root, here read off the norm identity alpha*alpha' = d2*r^2; the
 double flip must be the unique order-four coset.
 """
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conic import ConicSolution, solve_conic
-from .construct import (_TWISTS, GaloisClass, _primitive_scaling, classify,
-                        compute_alpha, two_primary_oracle)
+from .construct import (_TWISTS, AlphaRoot, GaloisClass, _primitive_scaling,
+                        classify, compute_alpha, two_primary_oracle)
 from .errors import InternalInvariant, QuatextError
 from .factorizations import D4Factorization, check_d4_split
 from .field import GaloisAction, _rat_sqrt, element
@@ -46,14 +47,20 @@ class D4Certificate:
     degenerate: bool
 
 
-def _lift_signs(d1: int, d2: int, alpha: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
-    """Lift signs of sigma, tau and sigma*tau for the quadratic step
-    generated by the square root of alpha, embedded in Q(sqrt(d1), sqrt(d2))."""
+def _lifts(d1: int, d2: int, alpha: tuple[Fraction, Fraction],
+           norm_root: Fraction) -> tuple[AlphaRoot, ...]:
+    """Lifts of sigma, tau and sigma*tau for the quadratic step generated
+    by the square root of alpha, embedded in Q(sqrt(d1), sqrt(d2)), from
+    the stated roots: sigma fixes alpha, so its root is 1; tau and
+    sigma*tau send alpha to alpha', and alpha*alpha' = d2*r^2 with
+    r = norm_root makes alpha/(r*sqrt(d2)) the root of alpha/alpha'."""
     alpha_emb = element(d1, d2, alpha[0], alpha[1], 0, 0)
-    return tuple(compute_alpha(alpha_emb, label, action, 1, None).sign  # type: ignore[return-value]
-                 for label, action in (("sigma", GaloisAction.SIGMA),
-                                       ("tau", GaloisAction.TAU),
-                                       ("sigma_tau", GaloisAction.SIGMA_TAU)))
+    flipped = alpha_emb / element(d1, d2, 0, 0, norm_root, 0)
+    return tuple(compute_alpha(alpha_emb, label, action, 1, None, h, 0)
+                 for label, action, h in (
+                     ("sigma", GaloisAction.SIGMA, element(d1, d2, 1)),
+                     ("tau", GaloisAction.TAU, flipped),
+                     ("sigma_tau", GaloisAction.SIGMA_TAU, flipped)))
 
 
 def d4_construct(pair: D4Factorization) -> D4Certificate:
@@ -89,7 +96,7 @@ def d4_construct(pair: D4Factorization) -> D4Certificate:
     if root is None:
         raise InternalInvariant("generator norm is not d2 times a rational square")
 
-    signs = _lift_signs(d1, d2, final)
+    signs = tuple(lift.sign for lift in _lifts(d1, d2, final, root))
     galois_class = classify(signs)
     if galois_class is not GaloisClass.DIHEDRAL or signs[2] != -1:
         raise InternalInvariant(f"dihedral certification failed: signs {signs}")
@@ -138,14 +145,15 @@ def _d4_claims_hold(cert: D4Certificate) -> bool:
         return False
 
     factor = _TWISTS.get(cert.twist)
-    if factor is None or cert.scaling <= 0:
+    scaling = _primitive_scaling(element(cert.d1, cert.d2, sol.x, sol.y, 0, 0))
+    if factor is None or cert.scaling != scaling:
         return False
     expected = (Fraction(factor * sol.x, cert.scaling),
                 Fraction(factor * sol.y, cert.scaling))
     if cert.alpha != expected:
         return False
 
-    signs = _lift_signs(cert.d1, cert.d2, cert.alpha)
+    signs = tuple(lift.sign for lift in _lifts(cert.d1, cert.d2, cert.alpha, cert.norm_root))
     if signs != cert.svector or cert.cyclic_sign != signs[2] or signs[2] != -1:
         return False
     return classify(signs) is GaloisClass.DIHEDRAL and cert.galois_class is GaloisClass.DIHEDRAL

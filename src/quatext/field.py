@@ -24,7 +24,6 @@ __all__ = [
     "element",
     "rational_element",
     "is_square",
-    "square_class_equal",
     "quad_sign",
     "real_embedding_sign",
     "embedding_signs",
@@ -200,9 +199,6 @@ class BiquadElement:
         c0, c1, c2, c3 = self.coords
         return BiquadElement(self.m, self.n, (c0, f1 * c1, f2 * c2, f3 * c3))
 
-    def conjugates(self) -> "list[BiquadElement]":
-        return [self.apply(g) for g in GaloisAction]
-
     # -- integrality -------------------------------------------------------
 
     def integral_coordinates(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -248,16 +244,6 @@ class BiquadElement:
         for t in terms[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
-
-
-def from_integral_coords(m: int, n: int,
-                         v: tuple[Rational, Rational, Rational, Rational]) -> BiquadElement:
-    v0, v1, v2, v3 = (Fraction(x) for x in v)
-    c0 = v0 + Fraction(m, 2) * v1 + Fraction(n, 2) * v2 + Fraction(m * n, 4) * v3
-    c1 = v1 / 2 + Fraction(n, 4) * v3
-    c2 = v2 / 2 + Fraction(m, 4) * v3
-    c3 = v3 / 4
-    return BiquadElement(m, n, (c0, c1, c2, c3))
 
 
 def element(m: int, n: int, c0: Rational = 0, c1: Rational = 0,
@@ -354,13 +340,6 @@ def is_square(x: BiquadElement) -> BiquadElement | None:
         if candidate * candidate == x:
             return _canon_element(candidate)
     return None
-
-
-def square_class_equal(x: BiquadElement, y: BiquadElement) -> bool:
-    """Whether nonzero x and y differ by the square of a field element."""
-    if x.is_zero() or y.is_zero():
-        raise ValueError("square classes are defined for nonzero elements")
-    return is_square(x * y) is not None
 
 
 # -- real embeddings -------------------------------------------------------

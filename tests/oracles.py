@@ -1,8 +1,11 @@
 """Independent reference computations for the test suite.
 
-Everything here is written against sympy primitives and raw brute force,
-never against the package under test, so the two sides of an assertion
-always come from unrelated code paths.
+Everything above the last section is written against sympy primitives
+and raw brute force, never against the package under test, so the two
+sides of an assertion always come from unrelated code paths.  The last
+section keeps code the package no longer runs, on top of its field
+arithmetic: the square-root search that lift certification used before
+it checked stated roots, and helpers no pipeline calls.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from itertools import product
 from math import gcd, isqrt, sqrt
 
 from sympy import factorint, jacobi_symbol
+
+from quatext.field import BiquadElement, GaloisAction, is_square
 
 
 def kronecker_ref(a: int, n: int) -> int:
@@ -223,3 +228,46 @@ def embedding_sign_float(m: int, n: int, coords, sm: int, sn: int) -> int:
 def fourth_powers_ref(p: int) -> set[int]:
     """Nonzero fourth powers modulo the prime p."""
     return {pow(x, 4, p) for x in range(1, p)}
+
+
+# -- retired field code ------------------------------------------------------
+
+
+def lift_root_ref(x: BiquadElement, action: GaloisAction,
+                  d3: int | None) -> tuple[BiquadElement, int] | None:
+    """The sign-canonical square root h of x^(1-g) or, failing that, of
+    x^(1-g)/d3, with the exponent of d3 (0 or 1); None if neither is a
+    square.  This is the search lift certification made before each lift
+    came with its root."""
+    w = x * x.apply(action).inv()
+    h = is_square(w)
+    if h is not None:
+        return (h, 0)
+    if d3 is not None:
+        h = is_square(w / d3)
+        if h is not None:
+            return (h, 1)
+    return None
+
+
+def square_class_equal(x: BiquadElement, y: BiquadElement) -> bool:
+    """Whether nonzero x and y differ by the square of a field element."""
+    if x.is_zero() or y.is_zero():
+        raise ValueError("square classes are defined for nonzero elements")
+    return is_square(x * y) is not None
+
+
+def from_integral_coords(m: int, n: int, v) -> BiquadElement:
+    """The element with coordinates v over the integral basis 1, w1, w2,
+    w1*w2, w1 = (m + sqrt m)/2, w2 = (n + sqrt n)/2."""
+    v0, v1, v2, v3 = (Fraction(x) for x in v)
+    c0 = v0 + Fraction(m, 2) * v1 + Fraction(n, 2) * v2 + Fraction(m * n, 4) * v3
+    c1 = v1 / 2 + Fraction(n, 4) * v3
+    c2 = v2 / 2 + Fraction(m, 4) * v3
+    c3 = v3 / 4
+    return BiquadElement(m, n, (c0, c1, c2, c3))
+
+
+def conjugates(x: BiquadElement) -> list[BiquadElement]:
+    """The images of x under the four automorphisms, identity first."""
+    return [x.apply(g) for g in GaloisAction]

@@ -2,11 +2,11 @@
 bounded number of times, a splitting check factors only the parts whose
 odd part is composite and never d, a field base is checked once, not on
 every arithmetic result, the squares mod 4 are tabulated once per
-residue class of the base mod 16, by integer arithmetic, and an inverse
-makes no element product.  The construction bounds are upper bounds, so
-they hold whatever the package's caches already hold."""
+residue class of the base mod 16, by integer arithmetic, an inverse
+makes no element product, and a lift is certified without a square-root
+search.  The construction bounds are upper bounds, so they hold whatever
+the package's caches already hold."""
 
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +14,8 @@ import pytest
 
 import quatext._intmath
 import quatext.cli
+import quatext.construct
+import quatext.dihedral
 import quatext.factorizations
 import quatext.field
 import quatext.symbols
@@ -101,20 +103,39 @@ def test_inverse_multiplies_no_field_elements(monkeypatch):
     assert len(muls) == 1 and applies == []
 
 
-def test_d4_construct_reaches_the_field_operations_the_bench_traces(monkeypatch):
-    """The bench trace's field layer wraps __mul__, __rmul__ and inv in
-    BiquadElement's own namespace, and is_square wherever a quatext module
-    holds it; one D4 construction calls both inv and is_square through
-    those names, so the layer's metrics read something."""
-    assert {"__mul__", "__rmul__", "inv"} <= set(vars(BiquadElement))
-    factorization = enumerate_d4(680)[0]
-    inverses = count_calls(monkeypatch, BiquadElement, "inv")
-    holders = [module for name, module in sys.modules.items()
-               if name.startswith("quatext")
-               and vars(module).get("is_square") is quatext.field.is_square]
-    squares = [count_calls(monkeypatch, module, "is_square") for module in holders]
-    d4_construct(factorization)
-    assert inverses and any(squares)
+def test_lifts_are_certified_without_a_square_root_search(monkeypatch):
+    """Each lift is checked from the root the construction states: inside
+    compute_alpha no is_square and no inv runs, for one quaternion and one
+    dihedral construction."""
+    depth = [0]
+    lifts = []
+    original = quatext.construct.compute_alpha
+
+    def nested(*args, **kwargs):
+        lifts.append(args[1])
+        depth[0] += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for module in (quatext.construct, quatext.dihedral):
+        monkeypatch.setattr(module, "compute_alpha", nested)
+    searched = []
+    for holder, name in ((quatext.construct, "is_square"), (quatext.field, "is_square"),
+                         (BiquadElement, "inv")):
+        wrapped = getattr(holder, name)
+
+        def recording(*args, _wrapped=wrapped, _name=name, **kwargs):
+            if depth[0]:
+                searched.append(_name)
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(holder, name, recording)
+    construct_h8(enumerate_h8(520)[0])
+    d4_construct(enumerate_d4(680)[0])
+    assert lifts == ["psi1", "psi2", "psi3", "rho", "sigma", "tau", "sigma_tau"]
+    assert searched == []
 
 
 @pytest.mark.parametrize("mode", ["--h8", "--d4"])

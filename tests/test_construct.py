@@ -18,9 +18,12 @@ from quatext import (
     check_norm_relations,
     classify,
     construct_h8,
+    d4_construct,
     divisor_twists,
     element,
+    enumerate_d4,
     enumerate_h8,
+    is_fundamental,
     is_square,
     k_square_class_equal,
     normalize_roles,
@@ -29,9 +32,11 @@ from quatext import (
     two_primary_normalize,
     two_primary_oracle,
 )
+from quatext.cli import _GOLDEN_ROWS
 from quatext.construct import _squares_mod4
-from quatext.field import from_integral_coords
-from oracles import fundamental_ref, squares_mod4_ref
+from quatext.dihedral import _lifts
+from oracles import (from_integral_coords, fundamental_ref, lift_root_ref,
+                     squares_mod4_ref)
 
 GOLDEN_ROLES = {
     3848: (8, 13, 37),
@@ -154,7 +159,7 @@ class TestTwoPrimary:
 class TestCertification:
     def test_golden_svector_and_relations(self):
         c = construct_h8(enumerate_h8(520)[0])
-        svector, alphas = certify_generator(c.mu, 13)
+        svector, alphas = certify_generator(c.mu, c.generator)
         assert (svector.psi1, svector.psi2, svector.psi3, svector.rho) == (-1, -1, -1, -1)
         assert [a.label for a in alphas] == ["psi1", "psi2", "psi3", "rho"]
         assert all(a.sign == -1 for a in alphas)
@@ -164,7 +169,7 @@ class TestCertification:
     def test_tampered_generator_is_rejected(self):
         c = construct_h8(enumerate_h8(520)[0])
         with pytest.raises(NonNormal, match="different square class"):
-            certify_generator(c.mu + 4, 13)
+            certify_generator(c.mu + 4, c.generator)
 
     def test_classification_table(self):
         assert classify((-1, -1, -1)) is GaloisClass.QUATERNION
@@ -174,6 +179,29 @@ class TestCertification:
         assert classify((1, 1, 1)) is GaloisClass.ELEMENTARY
         with pytest.raises(InternalInvariant):
             classify((1, 0, 1))
+
+
+class TestStatedRoots:
+    """Each lift is certified from the root the construction states; it is
+    the root the square-root search finds, with the same exponent of d3."""
+
+    def test_roots_match_the_search(self):
+        h8, d4 = [], []
+        for d in range(-3000, 3001):
+            if is_fundamental(d):
+                h8 += [construct_h8(f) for f in enumerate_h8(d)]
+                d4 += [d4_construct(f) for f in enumerate_d4(d)]
+        h8 += [construct_h8(check_h8_split(d, roles), roles=roles)
+               for d, roles, _ in _GOLDEN_ROWS]
+        assert (len(h8), len(d4)) == (53 + 9, 776)
+        for c in h8:
+            for lift in c.alphas:
+                assert lift_root_ref(c.mu, lift.action, c.generator.d3) == (
+                    lift.h, lift.exponent), (c.d, lift.label)
+        for c in d4:
+            alpha = element(c.d1, c.d2, c.alpha[0], c.alpha[1])
+            for lift in _lifts(c.d1, c.d2, c.alpha, c.norm_root):
+                assert lift_root_ref(alpha, lift.action, None) == (lift.h, 0), (c.d, lift.label)
 
 
 class TestSquareClassTools:

@@ -80,6 +80,13 @@ class TestD4Verify:
         assert d4_verify(dataclasses.replace(
             c, alpha=(c.alpha[0] / 2, c.alpha[1] / 2), norm_root=c.norm_root / 2,
             scaling=2 * c.scaling)) is False
+        # a scaling other than the primitive one, alpha and root to match
+        for d, d1, d2 in ((-2968, -7, 424), (-2968, -7, 8), (-2936, -367, 8)):
+            s = d4_construct(check_d4_split(d, d1, d2))
+            assert s.scaling > 1 and d4_verify(s)
+            assert not d4_verify(dataclasses.replace(
+                s, scaling=1, alpha=(s.alpha[0] * s.scaling, s.alpha[1] * s.scaling),
+                norm_root=s.norm_root * s.scaling))
 
     def test_certificate_is_frozen(self):
         c = d4_construct(enumerate_d4(680)[0])
