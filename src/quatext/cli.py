@@ -21,7 +21,7 @@ from typing import Callable
 
 from .conic import DEFAULT_MAX_A
 from .construct import (ExtensionCertificate, GaloisClass, construct_h8,
-                        divisor_twists, k_square_class_equal, same_extension)
+                        divisor_twists, same_extension)
 from .dihedral import D4Certificate, d4_construct
 from .errors import (BaseMismatch, FactorizationRejected, InternalInvariant,
                      InvalidDiscriminant, InvalidParameter, LocalObstruction,
@@ -226,17 +226,11 @@ def _check_golden_row(d: int, roles: tuple[int, int, int],
         problems.append(f"parts {cert.parts} != {expected_parts}")
     if cert.galois_class is not GaloisClass.QUATERNION:
         problems.append(f"class {cert.galois_class.value}")
-    delta: int | None
-    if all(_is_prime_disc(p) for p in roles):
-        # unique extension: the square classes must agree outright
-        delta = 1 if k_square_class_equal(cert.mu * target, d3) else None
-        if delta is None:
-            problems.append("generator is not square-class-equal to the "
-                            "reference (prime discriminant parts)")
-    else:
-        delta = same_extension(cert.mu, target, d3, divisor_twists(d))
-        if delta is None:
-            problems.append("no divisor twist matches the reference generator")
+    # prime discriminant parts make the extension unique: no twist allowed
+    twists = [1] if all(_is_prime_disc(p) for p in roles) else divisor_twists(d)
+    delta = same_extension(cert.mu, target, d3, twists)
+    if delta is None:
+        problems.append("no allowed twist matches the reference generator")
     row.update({
         "pass": not problems,
         "delta": None if delta is None else str(delta),

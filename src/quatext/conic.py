@@ -271,15 +271,12 @@ def parameter_conditions(a: int, d1: int, d2: int) -> bool:
     return True
 
 
-def find_parameter_a(d1: int, d2: int, *, max_a: int = DEFAULT_MAX_A,
-                     exclude: frozenset[int] | set[int] = frozenset()) -> int:
+def find_parameter_a(d1: int, d2: int, *, max_a: int = DEFAULT_MAX_A) -> int:
     if max_a < 1:
         raise InvalidParameter(f"parameter bound must be at least 1, got {max_a}")
     for a in parameter_candidates():
         if a > max_a:
             break
-        if a in exclude:
-            continue
         if parameter_conditions(a, d1, d2):
             return a
     raise SearchExhausted(f"no parameter up to {max_a} fits ({d1}, {d2})")

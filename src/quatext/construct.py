@@ -264,23 +264,10 @@ def two_primary_normalize(mu: BiquadElement, d1: int, d2: int) -> tuple[BiquadEl
     raise InternalInvariant("no candidate twist is congruent to a square mod 4")
 
 
-_LIFTS = (
-    ("psi1", GaloisAction.SIGMA, -1),
-    ("psi2", GaloisAction.TAU, -1),
-    ("psi3", GaloisAction.SIGMA_TAU, 1),
-    ("rho", GaloisAction.SIGMA_TAU, -1),
-)
-
-
-def compute_alpha(mu: BiquadElement, label: str, action: GaloisAction,
-                  epsilon: int, d3: int | None, h: BiquadElement,
-                  exponent: int) -> AlphaRoot:
-    """Certify that `action` lifts from the stated root h of mu^(1-g),
-    mu = h^2 * g(mu) * d3^exponent, and read off the +-1 telling whether
-    the lift has order four."""
-    if h * h * mu.apply(action) * (d3 if exponent else 1) != mu:
-        raise NonNormal(f"{label}: conjugate generator is in a different square class",
-                        action=label)
+def _lift_from_root(label: str, action: GaloisAction, epsilon: int,
+                    d3: int | None, h: BiquadElement, exponent: int) -> AlphaRoot:
+    """The lift of `action` from a root h already checked against mu: the
+    +-1 is h*g(h), times epsilon*d3 when exponent is 1."""
     h = _canon_element(h)
     hh = (h * h.apply(action)).rational_value()
     sign = hh if exponent == 0 else epsilon * d3 * hh
@@ -290,22 +277,37 @@ def compute_alpha(mu: BiquadElement, label: str, action: GaloisAction,
                      exponent=exponent, h=h, sign=int(sign))
 
 
+def compute_alpha(mu: BiquadElement, label: str, action: GaloisAction,
+                  epsilon: int, d3: int | None, h: BiquadElement,
+                  exponent: int) -> AlphaRoot:
+    """Certify that `action` lifts from the stated root h of mu^(1-g),
+    mu = h^2 * g(mu) * d3^exponent, and read off the +-1 telling whether
+    the lift has order four.  Each stated root is checked once: a second
+    lift with the same root and the same g(mu) reads only its sign."""
+    if h * h * mu.apply(action) * (d3 if exponent else 1) != mu:
+        raise NonNormal(f"{label}: conjugate generator is in a different square class",
+                        action=label)
+    return _lift_from_root(label, action, epsilon, d3, h, exponent)
+
+
 def certify_generator(mu: BiquadElement,
                       gen: MuGenerator) -> tuple[SVector, tuple[AlphaRoot, ...]]:
     """The four lifts of mu, a rational multiple of gen.mu_raw, from the
     roots the conics state: beta*sigma(beta) = -a*d3*z1^2, gamma*tau(gamma)
     = a*z2^2 and delta*sigma(delta) = -a*z3^2, where sigma fixes gamma, tau
-    fixes delta and sigma*tau negates beta; rational factors of mu cancel."""
+    fixes delta and sigma*tau negates beta; rational factors of mu cancel.
+    psi3 and rho share the root of sigma*tau, so one check covers both."""
     a, d3 = gen.a, gen.d3
     z1, z2, z3 = gen.sol1.z, gen.sol2.z, gen.sol3.z
-    both = gen.gamma * gen.delta / (a * z2 * z3)
-    roots = ((gen.beta * gen.delta / (a * d3 * z1 * z3), 1),
-             (gen.beta * gen.gamma / (a * d3 * z1 * z2), 1), (both, 0), (both, 0))
-    alphas = tuple(compute_alpha(mu, label, action, eps, d3, h, exponent)
-                   for (label, action, eps), (h, exponent) in zip(_LIFTS, roots))
-    svector = SVector(psi1=alphas[0].sign, psi2=alphas[1].sign,
-                      psi3=alphas[2].sign, rho=alphas[3].sign)
-    return svector, alphas
+    psi1 = compute_alpha(mu, "psi1", GaloisAction.SIGMA, -1, d3,
+                         gen.beta * gen.delta / (a * d3 * z1 * z3), 1)
+    psi2 = compute_alpha(mu, "psi2", GaloisAction.TAU, -1, d3,
+                         gen.beta * gen.gamma / (a * d3 * z1 * z2), 1)
+    psi3 = compute_alpha(mu, "psi3", GaloisAction.SIGMA_TAU, 1, d3,
+                         gen.gamma * gen.delta / (a * z2 * z3), 0)
+    rho = _lift_from_root("rho", GaloisAction.SIGMA_TAU, -1, d3, psi3.h, 0)
+    svector = SVector(psi1=psi1.sign, psi2=psi2.sign, psi3=psi3.sign, rho=rho.sign)
+    return svector, (psi1, psi2, psi3, rho)
 
 
 def classify(signs: tuple[int, int, int]) -> GaloisClass:
@@ -366,6 +368,8 @@ def resolve_infinity(mu: BiquadElement, d1: int, d2: int,
                 twisted = mu * (-q)
                 if not is_totally_positive(twisted):
                     raise InternalInvariant("rational twist failed to flip all signs")
+                if not two_primary_oracle(twisted):
+                    raise InternalInvariant("final generator lost congruence to a square mod 4")
                 return (twisted, -q, True)
         return (mu, None, False)
     return (mu, None, all(s > 0 for s in signs))
@@ -435,15 +439,11 @@ def construct_h8(split: H8Factorization, *,
             f"role assignment ({d1}, {d2}, {d3}) admits no generator congruent "
             "to a square mod 4; let the builder assign roles instead") from None
     mu_final, inf_twist, totally_positive = resolve_infinity(mu_norm, d1, d2, d3)
-    if not two_primary_oracle(mu_final):
-        raise InternalInvariant("final generator lost congruence to a square mod 4")
 
     svector, alphas = certify_generator(mu_final, gen)
     galois_class = classify(svector.as_tuple())
     if galois_class is not GaloisClass.QUATERNION:
         raise InternalInvariant(f"constructed class {galois_class.value}, not the quaternion one")
-    if svector.rho != -1:
-        raise InternalInvariant("second lift of the double flip is not of order four")
     relations = check_norm_relations(mu_final, d3)
     verdict = infinity_verdict(d1, d2, d3)
 

@@ -5,8 +5,9 @@ point, and alpha = x + y*sqrt(d1), scaled primitive and twisted until
 congruent to a square mod 4 in the biquadratic order, generates the
 quadratic step whose closure over Q is dihedral of order eight.  Each
 lift is certified as in the quaternion branch, by `compute_alpha` on a
-stated root, here read off the norm identity alpha*alpha' = d2*r^2; the
-double flip must be the unique order-four coset.
+stated root, here read off the norm identity alpha*alpha' = d2*r^2, and
+tau and sigma*tau share that root; the double flip must be the unique
+order-four coset.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conic import ConicSolution, solve_conic
-from .construct import (_TWISTS, AlphaRoot, GaloisClass, _primitive_scaling,
-                        classify, compute_alpha, two_primary_oracle)
+from .construct import (_TWISTS, AlphaRoot, GaloisClass, _lift_from_root,
+                        _primitive_scaling, classify, compute_alpha,
+                        two_primary_oracle)
 from .errors import InternalInvariant, QuatextError
 from .factorizations import D4Factorization, check_d4_split
 from .field import GaloisAction, _rat_sqrt, element
@@ -53,14 +55,15 @@ def _lifts(d1: int, d2: int, alpha: tuple[Fraction, Fraction],
     by the square root of alpha, embedded in Q(sqrt(d1), sqrt(d2)), from
     the stated roots: sigma fixes alpha, so its root is 1; tau and
     sigma*tau send alpha to alpha', and alpha*alpha' = d2*r^2 with
-    r = norm_root makes alpha/(r*sqrt(d2)) the root of alpha/alpha'."""
+    r = norm_root makes alpha/(r*sqrt(d2)) the root of alpha/alpha'.
+    alpha has no sqrt(d2) part, so tau's check covers sigma*tau too."""
     alpha_emb = element(d1, d2, alpha[0], alpha[1], 0, 0)
     flipped = alpha_emb / element(d1, d2, 0, 0, norm_root, 0)
-    return tuple(compute_alpha(alpha_emb, label, action, 1, None, h, 0)
-                 for label, action, h in (
-                     ("sigma", GaloisAction.SIGMA, element(d1, d2, 1)),
-                     ("tau", GaloisAction.TAU, flipped),
-                     ("sigma_tau", GaloisAction.SIGMA_TAU, flipped)))
+    sigma = compute_alpha(alpha_emb, "sigma", GaloisAction.SIGMA, 1, None,
+                          element(d1, d2, 1), 0)
+    tau = compute_alpha(alpha_emb, "tau", GaloisAction.TAU, 1, None, flipped, 0)
+    return (sigma, tau,
+            _lift_from_root("sigma_tau", GaloisAction.SIGMA_TAU, 1, None, tau.h, 0))
 
 
 def d4_construct(pair: D4Factorization) -> D4Certificate:
@@ -70,8 +73,6 @@ def d4_construct(pair: D4Factorization) -> D4Certificate:
     sol = solve_conic(1, -d1, -d2)
     if sol.y == 0 or sol.z == 0:
         raise InternalInvariant("degenerate conic point for a nonsquare part")
-    if sol.x * sol.x - d1 * sol.y * sol.y != d2 * sol.z * sol.z:
-        raise InternalInvariant("conic point fails the defining equation")
 
     scaling = _primitive_scaling(element(d1, d2, sol.x, sol.y, 0, 0))
     c0, c1 = Fraction(sol.x, scaling), Fraction(sol.y, scaling)

@@ -80,13 +80,13 @@ def _check_base(m: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class BiquadElement:
+    """Make elements with `element()`, which checks the base: the
+    constructor trusts its arguments, and arithmetic on checked operands
+    builds its results with it directly."""
+
     m: int
     n: int
     coords: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    def __post_init__(self) -> None:
-        _check_base(self.m, self.n)
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
 
     # -- basic structure ---------------------------------------------------
 
@@ -248,6 +248,9 @@ class BiquadElement:
 
 def element(m: int, n: int, c0: Rational = 0, c1: Rational = 0,
             c2: Rational = 0, c3: Rational = 0) -> BiquadElement:
+    """The element c0 + c1*sqrt(m) + c2*sqrt(n) + c3*sqrt(m*n); raises
+    BaseMismatch unless m, n are coprime fundamental discriminants."""
+    _check_base(m, n)
     return BiquadElement(m, n, (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
 
 

@@ -14,7 +14,7 @@ from .conic import ConicSolution
 from .construct import (AlphaRoot, ExtensionCertificate, GaloisClass,
                         MuGenerator, SVector)
 from .dihedral import D4Certificate
-from .field import BiquadElement, GaloisAction
+from .field import BiquadElement, GaloisAction, element
 from .infinity import InfinityVerdict
 from .symbols import DiscriminantFactorization
 
@@ -50,9 +50,10 @@ def encode_element(x: BiquadElement) -> dict[str, Any]:
 
 
 def decode_element(d: dict[str, Any]) -> BiquadElement:
+    """Inverse of encode_element; a bad base raises BaseMismatch."""
     m, n = (int(v) for v in d["base"])
-    c = tuple(decode_rational(s) for s in d["coords"])
-    return BiquadElement(m, n, c)  # type: ignore[arg-type]
+    c0, c1, c2, c3 = (decode_rational(s) for s in d["coords"])
+    return element(m, n, c0, c1, c2, c3)
 
 
 def _solution_list(sol: ConicSolution) -> list[str]:

@@ -16,7 +16,7 @@ from math import gcd, isqrt, sqrt
 
 from sympy import factorint, jacobi_symbol
 
-from quatext.field import BiquadElement, GaloisAction, is_square
+from quatext.field import BiquadElement, GaloisAction, element, is_square
 
 
 def kronecker_ref(a: int, n: int) -> int:
@@ -265,7 +265,7 @@ def from_integral_coords(m: int, n: int, v) -> BiquadElement:
     c1 = v1 / 2 + Fraction(n, 4) * v3
     c2 = v2 / 2 + Fraction(m, 4) * v3
     c3 = v3 / 4
-    return BiquadElement(m, n, (c0, c1, c2, c3))
+    return element(m, n, c0, c1, c2, c3)
 
 
 def conjugates(x: BiquadElement) -> list[BiquadElement]:

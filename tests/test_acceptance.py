@@ -22,11 +22,12 @@ from quatext import (
     enumerate_d4,
     enumerate_h8,
     factor_discriminant,
-    find_parameter_a,
     is_fundamental,
     is_totally_positive,
     k_square_class_equal,
     kronecker,
+    parameter_candidates,
+    parameter_conditions,
     prime_discriminant,
     quartic_symbol,
     same_extension,
@@ -246,7 +247,8 @@ def test_criterion_8_parameter_independence(h8_sweep):
     assert len(chosen) == 10
     for d, cert in chosen:
         g = cert.generator
-        other_a = find_parameter_a(g.d1, g.d2, exclude={g.a})
+        other_a = next(a for a in parameter_candidates()
+                       if a != g.a and parameter_conditions(a, g.d1, g.d2))
         second = construct_h8(check_h8_split(d, cert.parts), roles=(g.d1, g.d2, g.d3),
                               forced_a=other_a)
         if other_a == g.a:

@@ -3,8 +3,8 @@ bounded number of times, a splitting check factors only the parts whose
 odd part is composite and never d, a field base is checked once, not on
 every arithmetic result, the squares mod 4 are tabulated once per
 residue class of the base mod 16, by integer arithmetic, an inverse
-makes no element product, and a lift is certified without a square-root
-search.  The construction bounds are upper bounds, so they hold whatever
+makes no element product, and each stated lift root is checked once,
+without a square-root search.  The construction bounds are upper bounds, so they hold whatever
 the package's caches already hold."""
 
 from collections import Counter
@@ -19,9 +19,9 @@ import quatext.dihedral
 import quatext.factorizations
 import quatext.field
 import quatext.symbols
-from quatext import (BaseMismatch, BiquadElement, check_d4_split, check_h8_split,
-                     construct_h8, d4_construct, element, enumerate_d4,
-                     enumerate_h8, is_h8_split, two_primary_oracle)
+from quatext import (BaseMismatch, BiquadElement, GaloisAction, check_d4_split,
+                     check_h8_split, construct_h8, d4_construct, element,
+                     enumerate_d4, enumerate_h8, is_h8_split, two_primary_oracle)
 from quatext.cli import main
 from quatext.construct import _squares_mod4
 
@@ -58,6 +58,21 @@ def test_base_checked_once_per_field(monkeypatch):
     for _ in range(200):
         x * y
     assert len(calls) <= 2
+
+
+def test_arithmetic_results_skip_the_base_check(monkeypatch):
+    """Only element() checks a base: the results of arithmetic on checked
+    operands are built directly."""
+    x = element(-7, 13, Fraction(3, 2), 1, -2, Fraction(5, 3))
+    y = element(-7, 13, 0, 1, 0, 0)
+    calls = count_calls(monkeypatch, quatext.field, "_check_base")
+    x * y
+    3 * x
+    x.apply(GaloisAction.SIGMA_TAU)
+    -x
+    x.inv()
+    x / Fraction(2, 3)
+    assert calls == []
 
 
 def test_bad_base_raises_every_time():
@@ -104,9 +119,10 @@ def test_inverse_multiplies_no_field_elements(monkeypatch):
 
 
 def test_lifts_are_certified_without_a_square_root_search(monkeypatch):
-    """Each lift is checked from the root the construction states: inside
-    compute_alpha no is_square and no inv runs, for one quaternion and one
-    dihedral construction."""
+    """Each stated root is checked once, and no is_square and no inv runs
+    inside compute_alpha, for one quaternion and one dihedral construction:
+    rho shares psi3's root and sigma_tau shares tau's, so each only reads
+    its sign."""
     depth = [0]
     lifts = []
     original = quatext.construct.compute_alpha
@@ -134,7 +150,7 @@ def test_lifts_are_certified_without_a_square_root_search(monkeypatch):
         monkeypatch.setattr(holder, name, recording)
     construct_h8(enumerate_h8(520)[0])
     d4_construct(enumerate_d4(680)[0])
-    assert lifts == ["psi1", "psi2", "psi3", "rho", "sigma", "tau", "sigma_tau"]
+    assert lifts == ["psi1", "psi2", "psi3", "sigma", "tau"]
     assert searched == []
 
 

@@ -1,6 +1,7 @@
 """Exact points on diagonal conics and the coupled three-conic system."""
 
 import random
+from itertools import takewhile
 from math import gcd
 
 import pytest
@@ -158,7 +159,9 @@ class TestParameterSearch:
 
     def test_smallest_parameter_for_known_pair(self):
         assert find_parameter_a(5, 8) == 1
-        assert find_parameter_a(5, 8, exclude={1}) == 31
+        fitting = [a for a in takewhile(lambda a: a <= 31, parameter_candidates())
+                   if parameter_conditions(a, 5, 8)]
+        assert fitting == [1, 31]
         assert find_parameter_a(-3, 5) == 1
 
     def test_conditions_reject_even_and_nonpositive(self):
@@ -179,4 +182,5 @@ class TestParameterSearch:
 
     def test_exhaustion(self):
         with pytest.raises(SearchExhausted, match="no parameter up to 20"):
-            find_parameter_a(5, 8, max_a=20, exclude={1})
+            find_parameter_a(5, 21, max_a=20)
+        assert find_parameter_a(5, 21, max_a=41) == 41

@@ -44,6 +44,11 @@ FROZEN = [
      "06d48b47cbeae0cd76490a617ff547667c350a3efcdd5f2cd19698e2236edbdd"),
     ("d4 680 --d1 17 --d2 8 --json",
      "25c3d4a3454079b35e33b6152f35ccec927daf8604d195aff35d6a4a8f41580a"),
+    # the smallest H8 d whose generator takes the -q twist at infinity
+    ("h8 8520 --json",
+     "e73e467484e01b9de18455c837b2c18ea3e8bcc9eb0260f58e096b5118938a25"),
+    ("h8 8520",
+     "875d15f82c482cee42b799420d214be433638d7ef4a3dcf4491b11f8a88eb882"),
 ]
 
 # Rejected inputs: the exit code and the one line on stderr.

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quatext import (construct_h8, d4_construct, d4_verify, element,
+from quatext import (BaseMismatch, construct_h8, d4_construct, d4_verify, element,
                      enumerate_d4, enumerate_h8)
 from quatext.serialize import (
     d4cert_dict,
@@ -42,6 +42,15 @@ class TestScalars:
         assert enc["base"] == ["5", "8"]
         assert enc["coords"] == ["6", "1", "3/2", "1/2"]
         assert decode_element(json.loads(json.dumps(enc))) == x
+
+    @pytest.mark.parametrize("coords", [["6", "1", "3/2"], ["6", "1", "3/2", "1/2", "0"]])
+    def test_element_needs_four_coordinates(self, coords):
+        with pytest.raises(ValueError, match="values to unpack"):
+            decode_element({"base": ["5", "8"], "coords": coords})
+
+    def test_element_base_is_checked(self):
+        with pytest.raises(BaseMismatch):
+            decode_element({"base": ["5", "9"], "coords": ["1", "0", "0", "0"]})
 
 
 class TestDocuments:
