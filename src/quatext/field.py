@@ -1,10 +1,12 @@
 """Exact arithmetic in a biquadratic field Q(sqrt(m), sqrt(n)).
 
 Elements are rational linear combinations of 1, sqrt(m), sqrt(n),
-sqrt(m*n) for two coprime fundamental discriminants m, n.  Everything is
-exact: products, Galois conjugates, square roots, integrality against the
-maximal order and real embedding signs in Fraction arithmetic, inverses
-in integer arithmetic over one common denominator.
+sqrt(m*n) for two coprime fundamental discriminants m, n, with
+coordinates that are ints or Fractions and nothing else.  Everything is
+exact: products and inverses are integer kernels over one common
+denominator per operand; Galois conjugates, square roots, integrality
+against the maximal order and real embedding signs are Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ def _check_base(m: int, n: int) -> None:
         raise BaseMismatch(f"base discriminants {m}, {n} must be coprime")
 
 
+def _over_one_denominator(coords: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """(D, a0, a1, a2, a3) with coords = (a0, a1, a2, a3)/D for integers
+    a_i and D the lcm of the coordinates' denominators."""
+    c0, c1, c2, c3 = coords
+    d = lcm(c0.denominator, c1.denominator, c2.denominator, c3.denominator)
+    return (d, c0.numerator * (d // c0.denominator), c1.numerator * (d // c1.denominator),
+            c2.numerator * (d // c2.denominator), c3.numerator * (d // c3.denominator))
+
+
 @dataclass(frozen=True)
 class BiquadElement:
     """Make elements with `element()`, which checks the base: the
@@ -90,13 +101,17 @@ class BiquadElement:
 
     # -- basic structure ---------------------------------------------------
 
-    def _coerce(self, other: "BiquadElement | Rational") -> "BiquadElement":
+    def _coerce(self, other: object) -> "BiquadElement | None":
+        """other as an element of this field, or None for an operand that
+        is not exact, on which the operator returns NotImplemented."""
         if isinstance(other, BiquadElement):
             if (other.m, other.n) != (self.m, self.n):
                 raise BaseMismatch(
                     f"mixed bases ({self.m},{self.n}) and ({other.m},{other.n})")
             return other
-        return rational_element(self.m, self.n, other)
+        if isinstance(other, (int, Fraction)):
+            return rational_element(self.m, self.n, other)
+        return None
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -113,32 +128,42 @@ class BiquadElement:
 
     def __add__(self, other: "BiquadElement | Rational") -> "BiquadElement":
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return BiquadElement(self.m, self.n,
                              tuple(a + b for a, b in zip(self.coords, o.coords)))
 
     __radd__ = __add__
 
     def __sub__(self, other: "BiquadElement | Rational") -> "BiquadElement":
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other: "BiquadElement | Rational") -> "BiquadElement":
-        return self._coerce(other) - self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __neg__(self) -> "BiquadElement":
         return BiquadElement(self.m, self.n, tuple(-c for c in self.coords))
 
     def __mul__(self, other: "BiquadElement | Rational") -> "BiquadElement":
+        """The product, in one integer pass: with x = a/D and y = b/E for
+        integer coordinates a, b, x*y has the integer coordinates of a*b
+        over D*E, reduced once each."""
         if isinstance(other, (int, Fraction)):
             return BiquadElement(self.m, self.n, tuple(c * other for c in self.coords))
         o = self._coerce(other)
-        a0, a1, a2, a3 = self.coords
-        b0, b1, b2, b3 = o.coords
+        if o is None:
+            return NotImplemented
         m, n = self.m, self.n
+        d, a0, a1, a2, a3 = _over_one_denominator(self.coords)
+        e, b0, b1, b2, b3 = _over_one_denominator(o.coords)
+        de = d * e
         return BiquadElement(m, n, (
-            a0 * b0 + m * a1 * b1 + n * a2 * b2 + m * n * a3 * b3,
-            a0 * b1 + a1 * b0 + n * (a2 * b3 + a3 * b2),
-            a0 * b2 + a2 * b0 + m * (a1 * b3 + a3 * b1),
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+            Fraction(a0 * b0 + m * (a1 * b1 + n * a3 * b3) + n * a2 * b2, de),
+            Fraction(a0 * b1 + a1 * b0 + n * (a2 * b3 + a3 * b2), de),
+            Fraction(a0 * b2 + a2 * b0 + m * (a1 * b3 + a3 * b1), de),
+            Fraction(a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1, de),
         ))
 
     __rmul__ = __mul__
@@ -155,8 +180,7 @@ class BiquadElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         m, n = self.m, self.n
-        D = lcm(*(c.denominator for c in self.coords))
-        a0, a1, a2, a3 = (c.numerator * (D // c.denominator) for c in self.coords)
+        D, a0, a1, a2, a3 = _over_one_denominator(self.coords)
         p0 = a0 * a0 + m * a1 * a1 - n * (a2 * a2 + m * a3 * a3)
         p1 = 2 * (a0 * a1 - n * a2 * a3)
         norm = p0 * p0 - m * p1 * p1
@@ -177,7 +201,8 @@ class BiquadElement:
                 raise ZeroDivisionError
             return BiquadElement(self.m, self.n,
                                  tuple(c / Fraction(other) for c in self.coords))
-        return self * self._coerce(other).inv()
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inv()
 
     def __pow__(self, exponent: int) -> "BiquadElement":
         if exponent < 0:
@@ -249,7 +274,10 @@ class BiquadElement:
 def element(m: int, n: int, c0: Rational = 0, c1: Rational = 0,
             c2: Rational = 0, c3: Rational = 0) -> BiquadElement:
     """The element c0 + c1*sqrt(m) + c2*sqrt(n) + c3*sqrt(m*n); raises
-    BaseMismatch unless m, n are coprime fundamental discriminants."""
+    BaseMismatch unless m, n are coprime fundamental discriminants, and
+    TypeError unless every coordinate is an int or a Fraction."""
+    if not all(isinstance(c, (int, Fraction)) for c in (c0, c1, c2, c3)):
+        raise TypeError(f"coordinates must be int or Fraction: {(c0, c1, c2, c3)!r}")
     _check_base(m, n)
     return BiquadElement(m, n, (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
 

@@ -3,7 +3,8 @@ bounded number of times, a splitting check factors only the parts whose
 odd part is composite and never d, a field base is checked once, not on
 every arithmetic result, the squares mod 4 are tabulated once per
 residue class of the base mod 16, by integer arithmetic, an inverse
-makes no element product, and each stated lift root is checked once,
+makes no element product, a product makes no Fraction product or sum,
+and each stated lift root is checked once,
 without a square-root search.  The construction bounds are upper bounds, so they hold whatever
 the package's caches already hold."""
 
@@ -116,6 +117,17 @@ def test_inverse_multiplies_no_field_elements(monkeypatch):
     applies = count_calls(monkeypatch, BiquadElement, "apply")
     assert x * x.inv() == element(-7, 13, 1)
     assert len(muls) == 1 and applies == []
+
+
+def test_product_makes_no_fraction_arithmetic(monkeypatch):
+    """A product of two field elements is one integer pass: no Fraction
+    product or sum, only the four result coordinates built once."""
+    x = element(-7, 13, Fraction(3, 2), 1, -2, Fraction(5, 3))
+    y = element(-7, 13, Fraction(-1, 4), 0, 7, Fraction(2, 9))
+    muls = count_calls(monkeypatch, Fraction, "__mul__")
+    adds = count_calls(monkeypatch, Fraction, "__add__")
+    x * y
+    assert muls == [] and adds == []
 
 
 def test_lifts_are_certified_without_a_square_root_search(monkeypatch):

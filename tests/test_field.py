@@ -18,8 +18,8 @@ from quatext import (
     rational_element,
     real_embedding_sign,
 )
-from oracles import (conjugates, embedding_sign_float, from_integral_coords,
-                     inv_ref, square_class_equal)
+from oracles import (_biquad_mul, conjugates, embedding_sign_float,
+                     from_integral_coords, inv_ref, square_class_equal)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 coords4 = st.tuples(rationals, rationals, rationals, rationals)
@@ -93,6 +93,27 @@ class TestRingArithmetic:
         assert x.inv().coords == inv_ref(m, n, a)
         assert x * x.inv() == rational_element(m, n, 1)
         assert x / y == x * y.inv()
+
+    @settings(max_examples=200)
+    @given(inverse_bases, big_coords4, big_coords4)
+    def test_product_matches_the_fraction_formula(self, base, a, b):
+        m, n = base
+        product = (element(m, n, *a) * element(m, n, *b)).coords
+        assert product == _biquad_mul(m, n, a, b)
+        assert all(type(c) is Fraction for c in product)
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1", "1/2"])
+    def test_inexact_operands_rejected(self, bad):
+        x = elt((8, 1, 1, 0))
+        for op in (lambda: x * bad, lambda: bad * x, lambda: x + bad,
+                   lambda: bad + x, lambda: x - bad, lambda: bad - x,
+                   lambda: x / bad):
+            with pytest.raises(TypeError):
+                op()
+        with pytest.raises(TypeError):
+            element(5, 8, bad)
+        with pytest.raises(TypeError):
+            element(5, 8, 1, 0, 0, bad)
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
