@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from ._intmath import factorization, is_prime
+from ._intmath import factorization, is_prime, jacobi
 from .errors import InternalInvariant, NotFundamental, SymbolDomain
 
 __all__ = [
@@ -40,18 +40,8 @@ def kronecker(a: int, n: int) -> int:
             return 0
         if a % 8 in (3, 5):
             result = -result
-    # n is now odd and positive; standard Jacobi loop with reciprocity
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+    # n is now odd and positive
+    return result * jacobi(a, n)
 
 
 def quartic_symbol(a: int, p: int) -> int:

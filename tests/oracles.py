@@ -1,8 +1,9 @@
 """Independent reference computations for the test suite.
 
-Everything above the last section is written against sympy primitives
-and raw brute force, never against the package under test, so the two
-sides of an assertion always come from unrelated code paths.  The last
+sympy is the test oracle: everything above the last section is written
+against sympy primitives and raw brute force, never against the package
+under test (which does not import sympy), so the two sides of an
+assertion always come from unrelated code paths.  The last
 section keeps code the package no longer runs, on top of its field
 arithmetic: the square-root search that lift certification used before
 it checked stated roots, and helpers no pipeline calls.

@@ -4,9 +4,10 @@ odd part is composite and never d, a field base is checked once, not on
 every arithmetic result, the squares mod 4 are tabulated once per
 residue class of the base mod 16, by integer arithmetic, an inverse
 makes no element product, a product makes no Fraction product or sum,
-and each stated lift root is checked once,
-without a square-root search.  The construction bounds are upper bounds, so they hold whatever
-the package's caches already hold."""
+each stated lift root is checked once, without a square-root search, and
+a square root modulo n factors n where the factoring is counted.  The
+construction bounds are upper bounds, so they hold whatever the
+package's caches already hold."""
 
 from collections import Counter
 from fractions import Fraction
@@ -93,6 +94,14 @@ def test_split_checks_factor_only_composite_parts(monkeypatch):
     assert calls == []
     is_h8_split(-1560, (-3, 8, 65))
     assert [n for (n,) in calls] == [65]
+
+
+def test_square_root_modulo_n_factors_n_where_it_is_counted(monkeypatch):
+    """The conic descent's square roots modulo a composite factor the
+    modulus through factorint, so the factoring budgets above see them."""
+    calls = count_calls(monkeypatch, quatext._intmath, "factorint")
+    assert quatext._intmath.sqrt_modulo(4, 15) == 2
+    assert calls == [(15,)]
 
 
 def test_square_table_built_once_per_residue_class(capsys):
