@@ -62,7 +62,7 @@ def at_most_one_negative(parts: tuple[int, ...]) -> bool:
     return sum(1 for v in parts if v < 0) <= 1
 
 
-def _part_primes(d: int, parts: tuple[int, ...]) -> list[list[int]]:
+def _part_primes(d: int, parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Raise unless the parts are coprime fundamental discriminants with
     product d; return the primes of each part.
 
@@ -89,7 +89,7 @@ def _part_primes(d: int, parts: tuple[int, ...]) -> list[list[int]]:
     return primes
 
 
-def _require_residues(other: int, part: int, primes: list[int]) -> None:
+def _require_residues(other: int, part: int, primes: tuple[int, ...]) -> None:
     """Raise unless (other/p) = 1 for every prime p of part."""
     for p in primes:
         value = kronecker(other, p)

@@ -3,11 +3,24 @@
 Every fundamental discriminant factors uniquely into prime discriminants:
 -4, 8, -8 and p* = (-1)^((p-1)/2) p for odd primes p.  That factorization
 and the quadratic/quartic symbols on it drive everything downstream.
+
+`_fundamental_primes` is the one place that turns a discriminant into its
+primes.  It remembers its last `_PRIMES_MEMO_SIZE` answers, as tuples so
+that no caller can change a remembered answer.  A survey of d asks for the
+primes of d three times (`is_fundamental`, then `factor_discriminant` in
+each enumerator) and for those of each candidate part once per grouping
+that holds it, and a conic parameter search asks for those of d1 and d2
+once per candidate a; with the memo each value is factored once.  The
+memo is bounded so that a long scan cannot grow it: a d below 10^7 has at
+most 8 primes, so at most 255 distinct parts, and the memo holds those of
+several d.  The public entry points raise TypeError on a d that is not an
+int before it reaches the memo, where 5.0 would share the key of 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from ._intmath import factorization, is_prime, jacobi
@@ -104,7 +117,11 @@ def _has_disc_shape(v: int) -> bool:
     return v % 4 == 1 or v % 16 in (8, 12)
 
 
-def _fundamental_primes(d: int) -> list[int] | None:
+_PRIMES_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_PRIMES_MEMO_SIZE)
+def _fundamental_primes(d: int) -> tuple[int, ...] | None:
     """The ascending primes of d if d is a fundamental discriminant, else None.
 
     The residue of d mod 16 fixes the power of 2, so only the odd part m is
@@ -116,19 +133,26 @@ def _fundamental_primes(d: int) -> list[int] | None:
     m = abs(d)
     while m % 2 == 0:
         m //= 2
-    two = [2] if d % 2 == 0 else []
+    two = (2,) if d % 2 == 0 else ()
     if m == 1:
         return two
     if is_prime(m):
-        return two + [m]
+        return two + (m,)
     f = factorization(m)
     if any(e > 1 for e in f.values()):
         return None
-    return two + sorted(f)
+    return two + tuple(sorted(f))
+
+
+def _require_int(d: int) -> None:
+    if not isinstance(d, int):
+        raise TypeError(f"a discriminant must be an int, got {d!r}")
 
 
 def is_fundamental(d: int) -> bool:
-    """True iff d is a fundamental discriminant (of a quadratic field)."""
+    """True iff d is a fundamental discriminant (of a quadratic field);
+    TypeError unless d is an int."""
+    _require_int(d)
     return _fundamental_primes(d) is not None
 
 
@@ -160,12 +184,13 @@ def factor_discriminant(d: int) -> DiscriminantFactorization:
 
     The parts are pairwise coprime, each is -4, +-8 or +-p, their product
     is d, and they come back in canonical order (negatives first, then by
-    absolute value).
+    absolute value).  TypeError unless d is an int.
     """
+    _require_int(d)
     primes = _fundamental_primes(d)
     if primes is None:
         raise NotFundamental(f"{d} is not a fundamental discriminant")
-    odd_parts = [prime_discriminant(p) for p in primes if p != 2]
+    odd_parts = [p if p % 4 == 1 else -p for p in primes if p != 2]
     two_part = d // prod(odd_parts) if odd_parts else d
     parts = list(odd_parts)
     if two_part != 1:

@@ -1,13 +1,15 @@
 """Bounds on repeated work: a construction factors each discriminant a
 bounded number of times, a splitting check factors only the parts whose
-odd part is composite and never d, a field base is checked once, not on
-every arithmetic result, the squares mod 4 are tabulated once per
-residue class of the base mod 16, by integer arithmetic, an inverse
-makes no element product, a product makes no Fraction product or sum,
-each stated lift root is checked once, without a square-root search, and
-a square root modulo n factors n where the factoring is counted.  The
-construction bounds are upper bounds, so they hold whatever the
-package's caches already hold."""
+odd part is composite and never d, a survey of d and a conic parameter
+search factor each value at most once, because `_fundamental_primes`
+remembers its recent answers, a field base is checked once, not on every
+arithmetic result, the squares mod 4 are tabulated once per residue
+class of the base mod 16, by integer arithmetic, an inverse makes no
+element product, a product makes no Fraction product or sum, each stated
+lift root is checked once, without a square-root search, and a square
+root modulo n factors n where the factoring is counted.  The tests that
+count factoring calls clear the memo of `_fundamental_primes` first, so
+that their counts do not depend on the tests run before them."""
 
 from collections import Counter
 from fractions import Fraction
@@ -23,9 +25,12 @@ import quatext.field
 import quatext.symbols
 from quatext import (BaseMismatch, BiquadElement, GaloisAction, check_d4_split,
                      check_h8_split, construct_h8, d4_construct, element,
-                     enumerate_d4, enumerate_h8, is_h8_split, two_primary_oracle)
+                     enumerate_d4, enumerate_h8, is_fundamental, is_h8_split,
+                     two_primary_oracle)
 from quatext.cli import main
+from quatext.conic import find_parameter_a
 from quatext.construct import _squares_mod4
+from quatext.symbols import _fundamental_primes
 
 
 def count_calls(monkeypatch, module, name):
@@ -42,12 +47,14 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_construct_h8_factoring_budget(monkeypatch):
+    _fundamental_primes.cache_clear()
     calls = count_calls(monkeypatch, quatext._intmath, "factorint")
     construct_h8(enumerate_h8(520)[0])
     assert 0 < len(calls) <= 30
 
 
 def test_d4_construct_factoring_budget(monkeypatch):
+    _fundamental_primes.cache_clear()
     calls = count_calls(monkeypatch, quatext._intmath, "factorint")
     d4_construct(enumerate_d4(680)[0])
     assert 0 < len(calls) <= 30
@@ -88,12 +95,40 @@ def test_bad_base_raises_every_time():
 def test_split_checks_factor_only_composite_parts(monkeypatch):
     """A prime part needs only a primality test, and d is never factored:
     with three large prime parts that would be a full ECM split of d."""
+    _fundamental_primes.cache_clear()
     calls = count_calls(monkeypatch, quatext._intmath, "factorint")
     check_h8_split(520, (5, 8, 13))
     check_d4_split(680, 8, 17)
     assert calls == []
     is_h8_split(-1560, (-3, 8, 65))
     assert [n for (n,) in calls] == [65]
+
+
+def test_survey_of_d_factors_each_value_once(monkeypatch):
+    """One survey op (the fundamentality test and both enumerations) asks
+    for the primes of d three times and of each candidate part once per
+    grouping that holds it; each value is factored once.  d is odd: an
+    even d has parts v and 8v (or -4v, -8v) that share the odd part."""
+    d = -3 * 5 * -7 * 13 * 17 * 29
+    _fundamental_primes.cache_clear()
+    calls = count_calls(monkeypatch, quatext._intmath, "factorint")
+    assert is_fundamental(d)
+    enumerate_h8(d)
+    enumerate_d4(d)
+    factored = Counter(n for (n,) in calls)
+    assert abs(d) in factored and 5 * 13 in factored
+    assert max(factored.values()) == 1
+
+
+def test_parameter_search_factors_the_pair_once(monkeypatch):
+    """find_parameter_a tests 26 candidates on (221, 105) before a = 101
+    fits; the prime discriminants of 221 and 105 are found once."""
+    _fundamental_primes.cache_clear()
+    calls = count_calls(monkeypatch, quatext._intmath, "factorint")
+    tries = count_calls(monkeypatch, quatext.conic, "parameter_conditions")
+    assert find_parameter_a(221, 105) == 101
+    assert len(tries) == 26
+    assert sorted(n for (n,) in calls) == [105, 221]
 
 
 def test_square_root_modulo_n_factors_n_where_it_is_counted(monkeypatch):

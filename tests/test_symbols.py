@@ -1,5 +1,6 @@
 """Residue symbols and prime-discriminant factorization."""
 
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
@@ -18,6 +19,7 @@ from quatext import (
     quartic_symbol,
     quartic_symbol_composite,
 )
+from quatext.symbols import _PRIMES_MEMO_SIZE, _fundamental_primes
 from oracles import disc_parts_ref, fourth_powers_ref, fundamental_ref, kronecker_ref
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -154,6 +156,40 @@ class TestFundamental:
         assert is_fundamental(d) == fundamental_ref(d), d
         if fundamental_ref(d):
             assert factor_discriminant(d).parts == tuple(disc_parts_ref(d)), d
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(-10**7, 10**7), min_size=1, max_size=12),
+           st.integers(0, 10**6))
+    def test_memo_answers_survive_eviction(self, ds, start):
+        """Calls interleaved with repeats, then a flood of more distinct d
+        than the memo holds, which evicts every earlier answer: the answers
+        stay those of the plain definition, before and after."""
+        def check():
+            for d in ds + ds[::-1]:
+                assert is_fundamental(d) == fundamental_ref(d), d
+                if fundamental_ref(d):
+                    assert factor_discriminant(d).parts == tuple(disc_parts_ref(d)), d
+                primes = _fundamental_primes(d)
+                assert primes is None or isinstance(primes, tuple), d
+
+        check()
+        for d in range(2 * 10**7 + start, 2 * 10**7 + start + _PRIMES_MEMO_SIZE + 1):
+            is_fundamental(d)
+        assert _fundamental_primes.cache_info().currsize == _PRIMES_MEMO_SIZE
+        check()
+
+    def test_non_integer_discriminants_raise(self):
+        """An int and a float of equal value share a memo key, so a float
+        is rejected before it reaches the memo, cached int or not."""
+        _fundamental_primes.cache_clear()
+        assert is_fundamental(5) and is_fundamental(-4)
+        before = _fundamental_primes.cache_info()
+        for d in (-4.0, 5.0, 520.0, 7.0, Fraction(5), "5"):
+            with pytest.raises(TypeError):
+                is_fundamental(d)
+            with pytest.raises(TypeError):
+                factor_discriminant(d)
+        assert _fundamental_primes.cache_info() == before
 
 
 class TestPrimeDiscriminant:
