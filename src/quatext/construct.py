@@ -15,7 +15,6 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from ._intmath import prime_factors
 from .conic import (DEFAULT_MAX_A, ConicSolution, find_parameter_a,
                     parameter_conditions, solve_system)
 from .errors import InternalInvariant, InvalidParameter, NonIntegral, NonNormal
@@ -24,7 +23,7 @@ from .field import (BiquadElement, GaloisAction, _canon_element, element,
                     embedding_signs, is_square, is_totally_positive,
                     rational_element)
 from .infinity import InfinityVerdict, infinity_verdict
-from .symbols import disc_sort_key, factor_discriminant
+from .symbols import _discriminant_primes, disc_sort_key, factor_discriminant
 
 __all__ = [
     "GaloisClass",
@@ -356,14 +355,15 @@ def resolve_infinity(mu: BiquadElement, d1: int, d2: int,
 
     A totally negative generator flips to totally positive by scaling
     with -q for the smallest prime q = 3 (mod 4) dividing d; that scalar
-    is 1 mod 4, so congruence to a square mod 4 survives.
+    is 1 mod 4, so congruence to a square mod 4 survives.  NotFundamental
+    unless each part is a fundamental discriminant.
     """
-    d = d1 * d2 * d3
-    if d < 0:
+    primes = sorted(q for v in (d1, d2, d3) for q in _discriminant_primes(v))
+    if d1 * d2 * d3 < 0:
         return (mu, None, None)
     signs = embedding_signs(mu)
     if all(s < 0 for s in signs):
-        for q in prime_factors(d):
+        for q in primes:
             if q % 4 == 3:
                 twisted = mu * (-q)
                 if not is_totally_positive(twisted):

@@ -8,6 +8,10 @@ lift is certified as in the quaternion branch, by `compute_alpha` on a
 stated root, here read off the norm identity alpha*alpha' = d2*r^2, and
 tau and sigma*tau share that root; the double flip must be the unique
 order-four coset.
+
+`d4_construct` and `d4_verify` share one derivation from a conic point:
+the verifier runs it on the point a certificate states and accepts only an
+equal certificate, so only the twist the builder picks.
 """
 
 from __future__ import annotations
@@ -68,9 +72,32 @@ def _lifts(d1: int, d2: int, alpha: tuple[Fraction, Fraction],
 
 def d4_construct(pair: D4Factorization) -> D4Certificate:
     """Construct and certify a dihedral generator for a validated pair."""
-    d, d1, d2, d3 = pair.d, pair.d1, pair.d2, pair.d3
+    return _certify(pair, solve_conic(1, -pair.d1, -pair.d2))
 
-    sol = solve_conic(1, -d1, -d2)
+
+def d4_verify(cert: D4Certificate) -> bool:
+    """Recheck a dihedral certificate from its pair and its conic point.
+
+    The pair must be admissible for d, the point must satisfy
+    x^2 - d1*y^2 = d2*z^2 in integers, and every other field must equal
+    what the construction derives from that point: the primitive scaling,
+    the first twist that is a square mod 4, the norm root, the lift signs
+    and the class.  A tampered certificate gives False, never an exception.
+    """
+    try:
+        pair = check_d4_split(cert.d, cert.d1, cert.d2)
+        sol = cert.solution
+        if sol.x * sol.x - cert.d1 * sol.y * sol.y != cert.d2 * sol.z * sol.z:
+            return False
+        return _certify(pair, sol) == cert
+    except QuatextError:
+        return False
+
+
+def _certify(pair: D4Factorization, sol: ConicSolution) -> D4Certificate:
+    """The certificate that the point sol on the pair's conic yields; a
+    QuatextError when a step of the certification fails."""
+    d1, d2, d3 = pair.d1, pair.d2, pair.d3
     if sol.y == 0 or sol.z == 0:
         raise InternalInvariant("degenerate conic point for a nonsquare part")
 
@@ -82,79 +109,27 @@ def d4_construct(pair: D4Factorization) -> D4Certificate:
     # has odd valuations above 2 in Q(sqrt(d1)) (its norm is d2*Z^2), so no
     # twist could pass there, but 2 ramifies further up and the valuations
     # double.
-    final: tuple[Fraction, Fraction] | None = None
-    twist = ""
-    for label, factor in _TWISTS.items():
-        if two_primary_oracle(element(d1, d2, factor * c0, factor * c1, 0, 0)):
-            final, twist = (factor * c0, factor * c1), label
+    for twist, factor in _TWISTS.items():
+        alpha = (factor * c0, factor * c1)
+        if two_primary_oracle(element(d1, d2, alpha[0], alpha[1], 0, 0)):
             break
-    if final is None:
+    else:
         raise InternalInvariant("no twist of the dihedral generator is a square mod 4")
 
-    norm = final[0] * final[0] - d1 * final[1] * final[1]
-    ratio = norm / d2
-    root = _rat_sqrt(ratio)
+    root = _rat_sqrt((alpha[0] * alpha[0] - d1 * alpha[1] * alpha[1]) / d2)
     if root is None:
         raise InternalInvariant("generator norm is not d2 times a rational square")
 
-    signs = tuple(lift.sign for lift in _lifts(d1, d2, final, root))
+    signs = tuple(lift.sign for lift in _lifts(d1, d2, alpha, root))
     galois_class = classify(signs)
     if galois_class is not GaloisClass.DIHEDRAL or signs[2] != -1:
         raise InternalInvariant(f"dihedral certification failed: signs {signs}")
 
     return D4Certificate(
-        d=d, d1=d1, d2=d2, d3=d3, solution=sol,
+        d=pair.d, d1=d1, d2=d2, d3=d3, solution=sol,
         alpha_raw=(sol.x, sol.y), scaling=scaling, twist=twist,
-        alpha=final, norm_root=root, two_primary=True,
+        alpha=alpha, norm_root=root, two_primary=True,
         svector=signs,
         cyclic_sign=signs[2], galois_class=galois_class,
         degenerate=(d3 == 1),
     )
-
-
-def d4_verify(cert: D4Certificate) -> bool:
-    """Recheck every claim in a dihedral certificate from scratch.  A
-    tampered certificate gives False, never an exception."""
-    try:
-        return _d4_claims_hold(cert)
-    except QuatextError:
-        return False
-
-
-def _d4_claims_hold(cert: D4Certificate) -> bool:
-    """d4_verify's checks; a field that breaks a check's domain raises."""
-    check_d4_split(cert.d, cert.d1, cert.d2)
-    if cert.d1 * cert.d2 * cert.d3 != cert.d or cert.degenerate != (cert.d3 == 1):
-        return False
-
-    sol = cert.solution
-    if sol.y == 0 or sol.z == 0:
-        return False
-    if sol.x * sol.x - cert.d1 * sol.y * sol.y != cert.d2 * sol.z * sol.z:
-        return False
-    if cert.alpha_raw != (sol.x, sol.y):
-        return False
-
-    a0, a1 = cert.alpha
-    norm = a0 * a0 - cert.d1 * a1 * a1
-    # the builder states the positive root; its square alone hides a sign
-    if cert.norm_root <= 0 or norm != cert.d2 * cert.norm_root * cert.norm_root:
-        return False
-    if not cert.two_primary:
-        return False
-    if not two_primary_oracle(element(cert.d1, cert.d2, a0, a1, 0, 0)):
-        return False
-
-    factor = _TWISTS.get(cert.twist)
-    scaling = _primitive_scaling(element(cert.d1, cert.d2, sol.x, sol.y, 0, 0))
-    if factor is None or cert.scaling != scaling:
-        return False
-    expected = (Fraction(factor * sol.x, cert.scaling),
-                Fraction(factor * sol.y, cert.scaling))
-    if cert.alpha != expected:
-        return False
-
-    signs = tuple(lift.sign for lift in _lifts(cert.d1, cert.d2, cert.alpha, cert.norm_root))
-    if signs != cert.svector or cert.cyclic_sign != signs[2] or signs[2] != -1:
-        return False
-    return classify(signs) is GaloisClass.DIHEDRAL and cert.galois_class is GaloisClass.DIHEDRAL

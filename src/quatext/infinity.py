@@ -3,15 +3,16 @@
 Applicable only when all three parts are positive and no prime = 3 (mod 4)
 divides the discriminant; then every prime entering the quartic symbols
 satisfies the preconditions, and the criterion compares a product of
-quartic symbols against a product of quadratic ones.
+quartic symbols against a product of quadratic ones.  The primes of the
+parts come from the memo in `symbols`, which the splitting enumerators
+have already filled, so the verdict factors nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._intmath import prime_factors
-from .symbols import kronecker, quartic_symbol_composite
+from .symbols import _discriminant_primes, kronecker, quartic_symbol_composite
 
 __all__ = ["InfinityVerdict", "infinity_verdict"]
 
@@ -33,14 +34,13 @@ def infinity_verdict(d1: int, d2: int, d3: int) -> InfinityVerdict:
 
     The verdict is `totally_real = (lhs == rhs)` where lhs multiplies the
     three quartic symbols (d_j*d_k / d_i)_4 and rhs the three quadratic
-    symbols (d_i / d_j) over the unordered pairs.
+    symbols (d_i / d_j) over the unordered pairs.  NotFundamental unless
+    each part is a fundamental discriminant.
     """
-    d = d1 * d2 * d3
-    if d < 0 or d1 < 0 or d2 < 0 or d3 < 0:
-        return InfinityVerdict.not_applicable()
-    if any(q % 4 == 3 for q in prime_factors(d)):
-        return InfinityVerdict.not_applicable()
     parts = (d1, d2, d3)
+    primes = [q for v in parts for q in _discriminant_primes(v)]
+    if min(parts) < 0 or any(q % 4 == 3 for q in primes):
+        return InfinityVerdict.not_applicable()
     lhs = 1
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3

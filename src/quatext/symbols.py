@@ -5,16 +5,19 @@ Every fundamental discriminant factors uniquely into prime discriminants:
 and the quadratic/quartic symbols on it drive everything downstream.
 
 `_fundamental_primes` is the one place that turns a discriminant into its
-primes.  It remembers its last `_PRIMES_MEMO_SIZE` answers, as tuples so
-that no caller can change a remembered answer.  A survey of d asks for the
-primes of d three times (`is_fundamental`, then `factor_discriminant` in
-each enumerator) and for those of each candidate part once per grouping
-that holds it, and a conic parameter search asks for those of d1 and d2
-once per candidate a; with the memo each value is factored once.  The
-memo is bounded so that a long scan cannot grow it: a d below 10^7 has at
-most 8 primes, so at most 255 distinct parts, and the memo holds those of
-several d.  The public entry points raise TypeError on a d that is not an
-int before it reaches the memo, where 5.0 would share the key of 5.
+primes: the fundamentality test, the prime-discriminant split, the quartic
+symbol on a composite modulus, and (through `_discriminant_primes`) the
+totally-real criterion and the sign fix at infinity all read it.  It
+remembers its last `_PRIMES_MEMO_SIZE` answers, as tuples so that no
+caller can change a remembered answer.  A survey of d asks for the primes
+of d three times (`is_fundamental`, then `factor_discriminant` in each
+enumerator) and for those of each candidate part once per grouping that
+holds it, and a conic parameter search asks for those of d1 and d2 once
+per candidate a; with the memo each value is factored once.  The memo is
+bounded so that a long scan cannot grow it: a d below 10^7 has at most 8
+primes, so at most 255 distinct parts, and the memo holds those of several
+d.  The public entry points raise TypeError on a d that is not an int
+before it reaches the memo, where 5.0 would share the key of 5.
 """
 
 from __future__ import annotations
@@ -85,30 +88,21 @@ def quartic_symbol(a: int, p: int) -> int:
 
 
 def quartic_symbol_composite(a: int, modulus: int) -> int:
-    """Product of (a/p)_4 over the distinct primes p of a positive modulus.
+    """Product of (a/p)_4 over the distinct primes p of the modulus.
 
-    The modulus must be a positive discriminant-like integer: odd with
-    squarefree value = 1 (mod 4), or divisible by 8 with odd part squarefree.
-    The prime 2 enters the product exactly once when 8 | modulus.  A modulus
-    = 4 (mod 8) carries a factor -4 whose quartic character is undefined.
+    The modulus must be a positive fundamental discriminant that is not
+    4 (mod 8): such a value carries a factor -4 whose quartic character is
+    undefined.  The prime 2 enters the product exactly once when 8 | modulus.
+    TypeError unless the modulus is an int.
     """
-    if modulus <= 0:
-        raise SymbolDomain(f"composite quartic modulus must be positive, got {modulus}")
-    factors: list[int] = []
-    m = modulus
-    if m % 2 == 0:
-        if m % 8 != 0:
-            raise SymbolDomain(f"modulus {modulus} = {modulus % 8} (mod 8) has no quartic symbol")
-        factors.append(2)
-        while m % 2 == 0:
-            m //= 2
-    elif m % 4 != 1:
-        raise SymbolDomain(f"odd quartic modulus must be 1 (mod 4), got {modulus}")
-    odd = factorization(m)
-    if any(e > 1 for e in odd.values()):
-        raise SymbolDomain(f"odd part of quartic modulus {modulus} must be squarefree")
-    factors.extend(sorted(odd))
-    return prod(quartic_symbol(a, p) for p in factors)
+    _require_int(modulus)
+    primes = _fundamental_primes(modulus) if modulus > 0 else None
+    if primes is None:
+        raise SymbolDomain(f"quartic modulus must be a positive fundamental "
+                           f"discriminant, got {modulus}")
+    if modulus % 8 == 4:
+        raise SymbolDomain(f"modulus {modulus} = 4 (mod 8) has no quartic symbol")
+    return prod(quartic_symbol(a, p) for p in primes)
 
 
 def _has_disc_shape(v: int) -> bool:
@@ -179,6 +173,16 @@ class DiscriminantFactorization:
         return " * ".join(str(p) for p in self.parts)
 
 
+def _discriminant_primes(d: int) -> tuple[int, ...]:
+    """The ascending primes of d; TypeError unless d is an int, and
+    NotFundamental unless it is a fundamental discriminant."""
+    _require_int(d)
+    primes = _fundamental_primes(d)
+    if primes is None:
+        raise NotFundamental(f"{d} is not a fundamental discriminant")
+    return primes
+
+
 def factor_discriminant(d: int) -> DiscriminantFactorization:
     """Split a fundamental discriminant into its prime discriminants.
 
@@ -186,10 +190,7 @@ def factor_discriminant(d: int) -> DiscriminantFactorization:
     is d, and they come back in canonical order (negatives first, then by
     absolute value).  TypeError unless d is an int.
     """
-    _require_int(d)
-    primes = _fundamental_primes(d)
-    if primes is None:
-        raise NotFundamental(f"{d} is not a fundamental discriminant")
+    primes = _discriminant_primes(d)
     odd_parts = [p if p % 4 == 1 else -p for p in primes if p != 2]
     two_part = d // prod(odd_parts) if odd_parts else d
     parts = list(odd_parts)

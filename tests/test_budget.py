@@ -2,7 +2,8 @@
 bounded number of times, a splitting check factors only the parts whose
 odd part is composite and never d, a survey of d and a conic parameter
 search factor each value at most once, because `_fundamental_primes`
-remembers its recent answers, a field base is checked once, not on every
+remembers its recent answers, the totally-real verdict on an enumerated
+splitting factors nothing, a field base is checked once, not on every
 arithmetic result, the squares mod 4 are tabulated once per residue
 class of the base mod 16, by integer arithmetic, an inverse makes no
 element product, a product makes no Fraction product or sum, each stated
@@ -23,10 +24,10 @@ import quatext.dihedral
 import quatext.factorizations
 import quatext.field
 import quatext.symbols
-from quatext import (BaseMismatch, BiquadElement, GaloisAction, check_d4_split,
-                     check_h8_split, construct_h8, d4_construct, element,
-                     enumerate_d4, enumerate_h8, is_fundamental, is_h8_split,
-                     two_primary_oracle)
+from quatext import (BaseMismatch, BiquadElement, GaloisAction, assign_roles,
+                     check_d4_split, check_h8_split, construct_h8, d4_construct,
+                     element, enumerate_d4, enumerate_h8, infinity_verdict,
+                     is_fundamental, is_h8_split, two_primary_oracle)
 from quatext.cli import main
 from quatext.conic import find_parameter_a
 from quatext.construct import _squares_mod4
@@ -129,6 +130,23 @@ def test_parameter_search_factors_the_pair_once(monkeypatch):
     assert find_parameter_a(221, 105) == 101
     assert len(tries) == 26
     assert sorted(n for (n,) in calls) == [105, 221]
+
+
+def test_verdict_factors_nothing_after_the_enumeration(monkeypatch):
+    """The totally-real verdict reads the primes of its parts and of its
+    quartic moduli from the memo that enumerate_h8 filled (17 factorint
+    calls over these d when it factored d and each modulus again)."""
+    _fundamental_primes.cache_clear()
+    calls = count_calls(monkeypatch, quatext._intmath, "factorint")
+    verdicts = 0
+    for d in (8520, 3848, 2120, 1480, 520, 14105, 21505):
+        splittings = enumerate_h8(d)
+        calls.clear()
+        for f in splittings:
+            infinity_verdict(*assign_roles(f.parts))
+            verdicts += 1
+        assert calls == [], d
+    assert verdicts == 5
 
 
 def test_square_root_modulo_n_factors_n_where_it_is_counted(monkeypatch):

@@ -2,8 +2,11 @@
 
 import dataclasses
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quatext import (
     D4Certificate,
@@ -11,9 +14,70 @@ from quatext import (
     check_d4_split,
     d4_construct,
     d4_verify,
+    element,
     enumerate_d4,
+    two_primary_oracle,
 )
+from quatext.construct import _TWISTS
 from oracles import fundamental_ref
+
+# pairs whose conic point is not primitive, so the certificate's scaling is > 1
+SCALED_PAIRS = ((-2968, -7, 424), (-2968, -7, 8), (-2936, -367, 8))
+
+
+@cache
+def certificates() -> tuple[D4Certificate, ...]:
+    """Every D4 certificate for d in -2000..2000, and the scaled pairs'."""
+    pairs = [f for d in range(-2000, 2001) if fundamental_ref(d) for f in enumerate_d4(d)]
+    pairs += [check_d4_split(*p) for p in SCALED_PAIRS]
+    return tuple(d4_construct(f) for f in pairs)
+
+
+def other_twists(c: D4Certificate) -> list[D4Certificate]:
+    """The certificate c with each other twist that is a square mod 4, alpha
+    and norm root to match: consistent except that the twist is not the first
+    that passes."""
+    out = []
+    k0 = _TWISTS[c.twist]
+    for label, k in _TWISTS.items():
+        alpha = (c.alpha[0] * k / k0, c.alpha[1] * k / k0)
+        if label != c.twist and two_primary_oracle(element(c.d1, c.d2, *alpha, 0, 0)):
+            out.append(dataclasses.replace(c, twist=label, alpha=alpha,
+                                           norm_root=c.norm_root * abs(Fraction(k, k0))))
+    return out
+
+
+@st.composite
+def tampered(draw, c: D4Certificate) -> D4Certificate:
+    """c with one field changed to a value that differs from the old one.
+    The sign of z alone can change and leave a valid certificate, for
+    another point on the same conic; that change is not drawn."""
+    delta = draw(st.integers(-50, 50).filter(bool))
+    nudge = draw(st.fractions(-50, 50).filter(bool))
+    i = draw(st.integers(0, 2))
+    name = draw(st.sampled_from([f.name for f in dataclasses.fields(c)]))
+    old = getattr(c, name)
+    if name == "solution":
+        xyz = list(old.as_tuple())
+        xyz[i] += delta
+        new = dataclasses.replace(old, x=xyz[0], y=xyz[1], z=xyz[2])
+        assume(new != dataclasses.replace(old, z=-old.z))
+    elif name in ("alpha_raw", "alpha", "svector"):
+        new = list(old)
+        new[i % len(old)] += nudge if name == "alpha" else delta
+        new = tuple(new)
+    elif name == "norm_root":
+        new = old + nudge
+    elif name == "twist":
+        new = draw(st.sampled_from([t for t in _TWISTS if t != old]) | st.text(max_size=8)
+                   .filter(lambda t: t != old))
+    elif name == "galois_class":
+        new = draw(st.sampled_from([g for g in GaloisClass if g is not old]))
+    elif isinstance(old, bool):
+        new = not old
+    else:
+        new = old + delta
+    return dataclasses.replace(c, **{name: new})
 
 
 class TestD4Construct:
@@ -87,6 +151,28 @@ class TestD4Verify:
             assert not d4_verify(dataclasses.replace(
                 s, scaling=1, alpha=(s.alpha[0] * s.scaling, s.alpha[1] * s.scaling),
                 norm_root=s.norm_root * s.scaling))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_one_changed_field_fails(self, data):
+        c = data.draw(st.sampled_from(certificates()))
+        assert d4_verify(c)
+        assert d4_verify(data.draw(tampered(c))) is False
+
+    def test_only_the_first_passing_twist_is_accepted(self):
+        c = d4_construct(check_d4_split(-2996, -7, 428))
+        assert c.twist == "none" and d4_verify(c)
+        (negated,) = other_twists(c)
+        assert negated.twist == "negate" and negated.alpha == (-c.alpha[0], -c.alpha[1])
+        assert not d4_verify(negated)
+        several = 0
+        for d in range(-3000, 3001):
+            if fundamental_ref(d):
+                for f in enumerate_d4(d):
+                    others = other_twists(d4_construct(f))
+                    several += bool(others)
+                    assert not any(map(d4_verify, others)), f
+        assert several == 291
 
     def test_certificate_is_frozen(self):
         c = d4_construct(enumerate_d4(680)[0])

@@ -2,15 +2,20 @@
 
 from itertools import permutations
 
+import pytest
+
 from quatext import (
     InfinityVerdict,
+    NotFundamental,
     assign_roles,
     construct_h8,
+    element,
     enumerate_h8,
     infinity_verdict,
     is_totally_positive,
     kronecker,
     quartic_symbol_composite,
+    resolve_infinity,
 )
 from oracles import fundamental_ref
 
@@ -29,6 +34,16 @@ class TestApplicability:
     def test_prime_three_mod_four_not_applicable(self):
         # 840 = 5 * 8 * 21 carries the primes 3 and 7
         assert infinity_verdict(5, 8, 21) == InfinityVerdict.not_applicable()
+
+    def test_part_that_is_not_a_discriminant_raises(self):
+        # 9 is a square and 1 is trivial, so neither is a fundamental
+        # discriminant; the sign of another part does not matter
+        mu = element(5, 8, -1)
+        for parts in ((5, 8, 9), (-3, 8, 9), (5, 8, 1)):
+            with pytest.raises(NotFundamental):
+                infinity_verdict(*parts)
+            with pytest.raises(NotFundamental):
+                resolve_infinity(mu, *parts)
 
     def test_fields(self):
         v = infinity_verdict(5, 8, 13)

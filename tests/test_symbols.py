@@ -129,6 +129,10 @@ class TestQuarticSymbol:
             quartic_symbol_composite(9, 15)     # 3 mod 4
         with pytest.raises(SymbolDomain):
             quartic_symbol_composite(9, 45)     # odd part not squarefree
+        with pytest.raises(SymbolDomain):
+            quartic_symbol_composite(9, 1)      # no prime, and no discriminant
+        with pytest.raises(SymbolDomain):
+            quartic_symbol_composite(9, 16)     # 2-part 16 is no discriminant's
 
 
 class TestFundamental:
