@@ -82,8 +82,12 @@ def d4_verify(cert: D4Certificate) -> bool:
     x^2 - d1*y^2 = d2*z^2 in integers, and every other field must equal
     what the construction derives from that point: the primitive scaling,
     the first twist that is a square mod 4, the norm root, the lift signs
-    and the class.  A tampered certificate gives False, never an exception.
+    and the class.  Every field must first have an exact type (see
+    `_exact_types`).  A tampered certificate gives False, never an
+    exception.
     """
+    if not _exact_types(cert):
+        return False
     try:
         pair = check_d4_split(cert.d, cert.d1, cert.d2)
         sol = cert.solution
@@ -92,6 +96,23 @@ def d4_verify(cert: D4Certificate) -> bool:
         return _certify(pair, sol) == cert
     except QuatextError:
         return False
+
+
+def _exact_types(cert: D4Certificate) -> bool:
+    """Whether every field of cert has the type the builder states: int, not
+    bool, for the integers and the point, int or Fraction for alpha and the
+    norm root, bool for the flags.  Without it a float in the pair or the
+    point raises TypeError in the arithmetic, and a float elsewhere that
+    equals the derived value passes the final comparison."""
+    sol = cert.solution
+    if not (isinstance(sol, ConicSolution) and isinstance(cert.alpha_raw, tuple)
+            and isinstance(cert.alpha, tuple) and isinstance(cert.svector, tuple)):
+        return False
+    ints = (cert.d, cert.d1, cert.d2, cert.d3, sol.x, sol.y, sol.z, *cert.alpha_raw,
+            cert.scaling, *cert.svector, cert.cyclic_sign)
+    return (all(type(v) is int for v in ints)
+            and all(type(v) in (int, Fraction) for v in (*cert.alpha, cert.norm_root))
+            and type(cert.two_primary) is bool and type(cert.degenerate) is bool)
 
 
 def _certify(pair: D4Factorization, sol: ConicSolution) -> D4Certificate:

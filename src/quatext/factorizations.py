@@ -147,9 +147,12 @@ def enumerate_h8(d: int) -> list[H8Factorization]:
     """All quaternion-admissible splittings of d, canonically ordered.
 
     Candidates are the groupings of the prime discriminants of d into
-    exactly three blocks, each splitting's parts sorted canonically.
+    exactly three blocks, each splitting's parts sorted canonically.  The
+    sign condition is tested first: a grouping with more than one negative
+    block never reaches `is_h8_split`.
     """
-    triples = (_canonical(b) for b in _groupings(d) if len(b) == 3)
+    triples = (_canonical(b) for b in _groupings(d)
+               if len(b) == 3 and at_most_one_negative(b))
     found = sorted((t for t in triples if is_h8_split(d, t)),  # type: ignore[arg-type]
                    key=lambda t: [disc_sort_key(v) for v in t])
     return [H8Factorization(d=d, parts=p) for p in found]  # type: ignore[arg-type]
@@ -181,11 +184,13 @@ def enumerate_d4(d: int) -> list[D4Factorization]:
     """All dihedral-admissible pairs for d, up to swapping the pair.
 
     Candidates are the pairs of blocks of each grouping into two or three
-    blocks; the block left out, or 1, is the complement.
+    blocks; the block left out, or 1, is the complement.  The sign
+    condition is tested first: a pair of two negative blocks never reaches
+    `is_d4_split`.
     """
     out = [D4Factorization(d=d, d1=a, d2=b, d3=d // (a * b))
            for blocks in _groupings(d)
            for a, b in map(_canonical, combinations(blocks, 2))
-           if is_d4_split(d, a, b)]
+           if (a > 0 or b > 0) and is_d4_split(d, a, b)]
     out.sort(key=lambda f: (disc_sort_key(f.d1), disc_sort_key(f.d2)))
     return out

@@ -3,7 +3,8 @@ bounded number of times, a splitting check factors only the parts whose
 odd part is composite and never d, a survey of d and a conic parameter
 search factor each value at most once, because `_fundamental_primes`
 remembers its recent answers, the totally-real verdict on an enumerated
-splitting factors nothing, a field base is checked once, not on every
+splitting factors nothing, the enumerators probe no candidate that its
+signs rule out, a field base is checked once, not on every
 arithmetic result, the squares mod 4 are tabulated once per residue
 class of the base mod 16, by integer arithmetic, an inverse makes no
 element product, a product makes no Fraction product or sum, each stated
@@ -119,6 +120,21 @@ def test_survey_of_d_factors_each_value_once(monkeypatch):
     factored = Counter(n for (n,) in calls)
     assert abs(d) in factored and 5 * 13 in factored
     assert max(factored.values()) == 1
+
+
+@pytest.mark.parametrize("d, probes, found", [
+    (-3 * -7 * -11 * 5 * 13 * 17, (63, 220), (1, 11)),
+    (-3 * -7 * -11 * -19 * 5 * 8 * 13, (63, 696), (1, 30)),
+])
+def test_enumerators_probe_only_what_the_signs_allow(monkeypatch, d, probes, found):
+    """A grouping with two negative blocks is never an H8 splitting, and a
+    pair of two negative blocks never a D4 pair: the enumerators skip them
+    before any probe (90 and 301 probes for -255255, 301 and 966 for
+    2282280 when every candidate was probed)."""
+    h8 = count_calls(monkeypatch, quatext.factorizations, "is_h8_split")
+    d4 = count_calls(monkeypatch, quatext.factorizations, "check_d4_split")
+    assert (len(enumerate_h8(d)), len(enumerate_d4(d))) == found
+    assert (len(h8), len(d4)) == probes
 
 
 def test_parameter_search_factors_the_pair_once(monkeypatch):

@@ -49,9 +49,11 @@ def other_twists(c: D4Certificate) -> list[D4Certificate]:
 
 @st.composite
 def tampered(draw, c: D4Certificate) -> D4Certificate:
-    """c with one field changed to a value that differs from the old one.
+    """c with one field changed to a value that differs from the old one,
+    or with one number of a numeric field replaced by the equal float.
     The sign of z alone can change and leave a valid certificate, for
     another point on the same conic; that change is not drawn."""
+    as_float = draw(st.booleans())
     delta = draw(st.integers(-50, 50).filter(bool))
     nudge = draw(st.fractions(-50, 50).filter(bool))
     i = draw(st.integers(0, 2))
@@ -59,13 +61,16 @@ def tampered(draw, c: D4Certificate) -> D4Certificate:
     old = getattr(c, name)
     if name == "solution":
         xyz = list(old.as_tuple())
-        xyz[i] += delta
+        xyz[i] = float(xyz[i]) if as_float else xyz[i] + delta
         new = dataclasses.replace(old, x=xyz[0], y=xyz[1], z=xyz[2])
         assume(new != dataclasses.replace(old, z=-old.z))
     elif name in ("alpha_raw", "alpha", "svector"):
         new = list(old)
-        new[i % len(old)] += nudge if name == "alpha" else delta
+        j = i % len(old)
+        new[j] = float(new[j]) if as_float else new[j] + (nudge if name == "alpha" else delta)
         new = tuple(new)
+    elif as_float and name not in ("twist", "galois_class"):
+        new = float(old)
     elif name == "norm_root":
         new = old + nudge
     elif name == "twist":
@@ -144,6 +149,17 @@ class TestD4Verify:
         assert d4_verify(dataclasses.replace(
             c, alpha=(c.alpha[0] / 2, c.alpha[1] / 2), norm_root=c.norm_root / 2,
             scaling=2 * c.scaling)) is False
+        # an equal float would raise in the pair or the point, and pass elsewhere
+        for name in ("d", "d1", "d2", "d3", "scaling", "norm_root", "cyclic_sign",
+                     "two_primary", "degenerate"):
+            assert d4_verify(dataclasses.replace(c, **{name: float(getattr(c, name))})) is False
+        for name in ("alpha_raw", "alpha", "svector"):
+            floats = tuple(map(float, getattr(c, name)))
+            assert d4_verify(dataclasses.replace(c, **{name: floats})) is False
+        point = dataclasses.replace(c.solution, x=float(c.solution.x))
+        assert d4_verify(dataclasses.replace(c, solution=point)) is False
+        assert d4_verify(dataclasses.replace(c, solution=c.solution.as_tuple())) is False
+        assert d4_verify(dataclasses.replace(c, alpha=(-5, -1), norm_root=1))
         # a scaling other than the primitive one, alpha and root to match
         for d, d1, d2 in ((-2968, -7, 424), (-2968, -7, 8), (-2936, -367, 8)):
             s = d4_construct(check_d4_split(d, d1, d2))

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 from math import gcd, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quatext import (
@@ -246,6 +246,36 @@ class TestEnumerateD4:
         for d in FUNDAMENTAL_SMALL:
             for f in enumerate_d4(d):
                 assert is_d4_split(d, f.d2, f.d1)
+
+
+@st.composite
+def many_part_discriminants(draw):
+    """A fundamental d with 5 to 7 prime discriminants, 2 to 4 of them
+    negative, at most one of them even: where the sign test skips most
+    candidates."""
+    negative = draw(st.lists(st.sampled_from([-3, -7, -11, -19, -23, -31, -4, -8]),
+                             min_size=2, max_size=4, unique=True))
+    positive = draw(st.lists(st.sampled_from([5, 13, 17, 29, 37, 41, 8]),
+                             min_size=max(1, 5 - len(negative)),
+                             max_size=7 - len(negative), unique=True))
+    parts = negative + positive
+    assume(sum(1 for v in parts if v % 2 == 0) <= 1)
+    return prod(parts)
+
+
+class TestEnumeratorsWithManyParts:
+    """The enumerators against the brute-force oracles on d with more prime
+    discriminants than the sweeps above reach (at most 4 for |d| <= 600)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(many_part_discriminants())
+    @example(-3 * -7 * -11 * 5 * 13 * 17)
+    @example(-3 * -7 * -11 * -19 * 5 * 8 * 13)
+    @example(-4 * -3 * -7 * 5 * 13)
+    def test_matches_brute_force(self, d):
+        assert is_fundamental(d)
+        assert [f.parts for f in enumerate_h8(d)] == h8_splits_ref(d)
+        assert sorted((f.d1, f.d2, f.d3) for f in enumerate_d4(d)) == sorted(d4_pairs_ref(d))
 
 
 class TestAtMostOneNegative:
